@@ -20,20 +20,24 @@ from .codes import (
     min_distance,
     weight_distribution,
 )
-from .gf import GF, field, field_from_order
+from .families import (
+    Prediction,
+    applicable_bounds,
+    build_point_set,
+    lower_bound_value,
+    predict,
+)
+from .gf import GF, field
 from .linalg import Matrix, maximal_minors, rank, rank_and_kernel, rref
-from .predict import Prediction, applicable_bounds, lower_bound_value, predict
 from .projgeom import (
     Form,
     enumerate_hyperplanes,
     enumerate_monomials,
     enumerate_projective_points,
-    evaluate_form,
 )
 from .varieties import (
     PointSet,
     VarietyDescriptor,
-    build_point_set,
     classify_quadric,
     complete_intersection_points,
     delpezzo_points,
@@ -69,9 +73,7 @@ __all__ = [
     "enumerate_hyperplanes",
     "enumerate_monomials",
     "enumerate_projective_points",
-    "evaluate_form",
     "field",
-    "field_from_order",
     "flag_points",
     "gaussian_binomial",
     "ghw",

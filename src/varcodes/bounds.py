@@ -19,6 +19,7 @@ from .errors import (
     HTooLarge,
     HypothesisViolated,
     InvalidParams,
+    invariant,
 )
 
 
@@ -40,9 +41,9 @@ class BoundReport:
         }
 
 
-def sigma(d: int, q: int) -> int:
-    """#P^d(F_q) = q^d + ... + q + 1, with sigma(-1) = 0."""
-    return sum(q**i for i in range(d + 1))
+def sigma(m: int, q: int) -> int:
+    """#P^m(F_q) = q^m + ... + q + 1, with sigma(-1) = 0."""
+    return sum(q**i for i in range(m + 1))
 
 
 def binomial(n: int, k: int) -> int:
@@ -59,7 +60,7 @@ def gaussian_binomial(m: int, l: int, q: int) -> int:
     for i in range(l):
         num *= q**m - q**i
         den *= q**l - q**i
-    assert num % den == 0
+    invariant(num % den == 0, "Gaussian binomial is not an integer")
     return num // den
 
 
@@ -146,7 +147,7 @@ def weil_hypersurface_interval(q: int, m: int, s: int) -> BoundReport:
     if s < 1:
         raise InvalidParams("degree must be >= 1")
     b_num = (s - 1) * ((s - 1) ** m - (-1) ** m)
-    assert b_num % s == 0
+    invariant(b_num % s == 0, "Betti number is not an integer")
     b = b_num // s
     center = sigma(m - 1, q)
     radius = _floor_sqrt_times(b, q ** (m - 1))
@@ -331,7 +332,7 @@ def hermitian_count(m: int, r: int) -> int:
     if m < 1 or r < 2:
         raise InvalidParams("need m >= 1 and r >= 2")
     b_num = r * (r**m - (-1) ** m)
-    assert b_num % (r + 1) == 0
+    invariant(b_num % (r + 1) == 0, "Hermitian count is not an integer")
     b = b_num // (r + 1)
     return sigma(m - 1, r**2) + b * r ** (m - 1)
 
@@ -341,7 +342,7 @@ def flag_count(m: int, q: int) -> int:
     if m < 2:
         raise InvalidParams("need m >= 2")
     num = (q**m - 1) * (q ** (m - 1) - 1)
-    assert num % (q - 1) ** 2 == 0
+    invariant(num % (q - 1) ** 2 == 0, "flag count is not an integer")
     return num // (q - 1) ** 2
 
 
@@ -350,24 +351,21 @@ def grassmann_min_weight_words(l: int, m: int, q: int) -> int:
     return (q - 1) * gaussian_binomial(m, l, q)
 
 
+COUNT_FORMULAS = {
+    "projective_space": sigma,
+    "quadric": quadric_count,
+    "hermitian": hermitian_count,
+    "grassmann": gaussian_binomial,
+    "flag": flag_count,
+    "grassmann_min_weight_words": grassmann_min_weight_words,
+}
+
+
 def counts(family: str, **params) -> BoundReport:
-    """Dispatch for the closed-form point-count formulas."""
-    if family == "projective_space":
-        value = sigma(params["m"], params["q"])
-    elif family == "quadric":
-        value = quadric_count(
-            params["m"], params["w"], params["q"], params.get("rho")
-        )
-    elif family == "hermitian":
-        value = hermitian_count(params["m"], params["r"])
-    elif family == "grassmann":
-        value = gaussian_binomial(params["m"], params["l"], params["q"])
-    elif family == "flag":
-        value = flag_count(params["m"], params["q"])
-    elif family == "grassmann_min_weight_words":
-        value = grassmann_min_weight_words(params["l"], params["m"], params["q"])
-    else:
+    """A closed-form point count, by formula name and keyword parameters."""
+    if family not in COUNT_FORMULAS:
         raise InvalidParams(f"unknown count family {family!r}")
+    value = COUNT_FORMULAS[family](**params)
     return BoundReport(
         "counts", {"family": family, **params}, value, "closed-form point count"
     )

@@ -21,9 +21,16 @@ from .codes import (
     weight_distribution,
 )
 from .errors import BudgetExceeded, InputError, InternalError
-from .gf import GF, field_from_order
-from .predict import applicable_bounds, lower_bound_value, predict
-from .varieties import VarietyDescriptor, build_point_set
+from .families import (
+    applicable_bounds,
+    build_point_set,
+    check_arguments,
+    lower_bound_value,
+    predict,
+    require_fields,
+)
+from .gf import GF
+from .varieties import VarietyDescriptor
 
 BOUND_COMMANDS = {
     "elementary": bounds.elementary_bound,
@@ -58,10 +65,6 @@ def _emit(payload, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _field_for(q: int) -> GF:
-    return field_from_order(q)
-
-
 def cmd_field(args) -> int:
     fld = GF(args.p, args.e)
     payload = fld.to_dict()
@@ -74,7 +77,7 @@ def cmd_field(args) -> int:
 
 def cmd_points(args) -> int:
     desc = VarietyDescriptor.from_dict(_load_json_arg(args.descriptor))
-    points = build_point_set(desc, _field_for(args.q))
+    points = build_point_set(desc, GF.from_order(args.q))
     payload = points.to_dict()
     payload["descriptor"] = desc.to_dict()
     _emit(payload, args.out)
@@ -83,7 +86,7 @@ def cmd_points(args) -> int:
 
 def cmd_build(args) -> int:
     desc = VarietyDescriptor.from_dict(_load_json_arg(args.descriptor))
-    code = code_from_descriptor(desc, args.h, _field_for(args.q))
+    code = code_from_descriptor(desc, args.h, GF.from_order(args.q))
     if args.out:
         _emit(code.to_dict(), args.out)
     _emit({"n": code.n, "k": code.k, "kernel_dim": code.kernel_dim}, None)
@@ -108,7 +111,10 @@ def cmd_analyze(args) -> int:
                 code, args.budget, args.workers
             ).to_dict()
         elif task.startswith("ghw:"):
-            r = int(task.split(":", 1)[1])
+            r = task.split(":", 1)[1]
+            if not r.isdecimal():
+                raise InputError(f"ghw task needs a rank ghw:R, got {task!r}")
+            r = int(r)
             report.setdefault("ghw", {})[str(r)] = ghw(
                 code, r, args.budget, args.workers
             )
@@ -124,9 +130,15 @@ def cmd_bound(args) -> int:
     if not isinstance(params, dict):
         raise InputError("bound parameters must be a JSON object")
     if args.name == "counts":
+        family = params.get("family")
+        formula = bounds.COUNT_FORMULAS.get(family) if isinstance(family, str) else None
+        if formula is None:
+            raise InputError(f"unknown count family {family!r}")
+        check_arguments(formula, {k: v for k, v in params.items() if k != "family"})
         report = bounds.counts(**params)
     else:
         fn = BOUND_COMMANDS[args.name]
+        check_arguments(fn, params)
         report = fn(**params)
     _emit(report.to_dict(), args.out)
     return 0
@@ -140,10 +152,10 @@ def cmd_predict(args) -> int:
 
 def _compare_row(entry: dict, budget: int, workers: int) -> dict:
     desc = VarietyDescriptor.from_dict(entry["descriptor"])
-    h = int(entry.get("h", 1))
-    q = int(entry["q"])
+    h = entry.get("h", 1)
+    q = entry["q"]
     row = {"family": desc.label(), "q": q, "h": h}
-    code = code_from_descriptor(desc, h, _field_for(q))
+    code = code_from_descriptor(desc, h, GF.from_order(q))
     row["n"], row["k"] = code.n, code.k
     row["d"] = min_distance(code, budget, workers)
     try:
@@ -163,6 +175,8 @@ def _compare_row(entry: dict, budget: int, workers: int) -> dict:
     return row
 
 
+_ENTRY_KINDS = {"descriptor": "dict", "h": "int", "q": "int"}
+
 _COMPARE_COLUMNS = [
     "family", "q", "h", "n", "k", "d", "d_predicted", "d_status",
     "griesmer_max_d", "singleton", "attains_griesmer", "lower_bounds",
@@ -180,6 +194,8 @@ def cmd_compare(args) -> int:
     entries = _load_json_arg(args.specs)
     if not isinstance(entries, list):
         raise InputError("compare expects a JSON list of {descriptor, h, q} entries")
+    for entry in entries:
+        require_fields("compare entry", entry, _ENTRY_KINDS, {"h"})
     rows = []
     for entry in entries:
         try:
@@ -300,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (InputError, json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
+    except (InputError, json.JSONDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:

@@ -28,21 +28,28 @@ from .errors import (
     InputError,
     InvalidParams,
     UnexpectedDistance,
+    invariant,
 )
+from .families import build_point_set, check_descriptor, require_fields
 from .gf import GF
 from .linalg import Matrix, rref
 from .projgeom import Form, enumerate_monomials, monomial_name
-from .varieties import (
-    PointSet,
-    VarietyDescriptor,
-    build_point_set,
-    delpezzo_points,
-    p1p1_basis,
-    toric_points,
-)
+from .varieties import PointSet, VarietyDescriptor, delpezzo_points
 
 DEFAULT_BUDGET = 2**31
 ARTIFACT_FORMAT_VERSION = 1
+_ARTIFACT_KINDS = {
+    "format_version": "int",
+    "field": "dict",
+    "n": "int",
+    "k": "int",
+    "kernel_dim": "int",
+    "generator": "list[list[int]]",
+    "point_labels": "list[str]",
+    "basis_labels": "list[str]",
+    "provenance": "dict",
+}
+_FIELD_KINDS = {"p": "int", "e": "int", "q": "int", "modulus": "list[int]"}
 
 
 @dataclass
@@ -113,24 +120,28 @@ class LinearCode:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearCode":
-        if d.get("format_version") != ARTIFACT_FORMAT_VERSION:
-            raise InvalidParams(
-                f"unsupported artifact format version {d.get('format_version')!r}"
-            )
+        require_fields("artifact", d, _ARTIFACT_KINDS, {"kernel_dim", "provenance"})
+        if d["format_version"] != ARTIFACT_FORMAT_VERSION:
+            raise InvalidParams(f"unsupported artifact format version {d['format_version']!r}")
+        require_fields("artifact field", d["field"], _FIELD_KINDS, {"q", "modulus"})
         fld = GF.from_dict(d["field"])
-        gen = Matrix(fld, [list(map(int, row)) for row in d["generator"]])
-        code = cls(
+        gen = Matrix(fld, [row[:] for row in d["generator"]])
+        if (gen.nrows, gen.ncols, len(d["point_labels"])) != (d["k"], d["n"], d["n"]):
+            raise InvalidParams(
+                f"artifact says k={d['k']}, n={d['n']}, but has a {gen.nrows} x "
+                f"{gen.ncols} generator and {len(d['point_labels'])} point labels"
+            )
+        _, pivots = rref(gen)
+        if not 0 < len(pivots) == gen.nrows:
+            raise InvalidParams("artifact generator is not full rank")
+        return cls(
             fld,
             gen,
             list(d["point_labels"]),
             list(d["basis_labels"]),
             dict(d.get("provenance", {})),
-            int(d.get("kernel_dim", 0)),
+            d.get("kernel_dim", 0),
         )
-        _, pivots = rref(gen)
-        if len(pivots) != code.k:
-            raise InvalidParams("artifact generator is not full rank")
-        return code
 
     def to_csv(self) -> str:
         return "\n".join(",".join(str(x) for x in row) for row in self.generator.rows) + "\n"
@@ -184,27 +195,18 @@ def code_from_descriptor(
     desc: VarietyDescriptor, h: int, fld: GF
 ) -> LinearCode:
     """Build the degree-h evaluation code of a variety descriptor."""
+    fam = check_descriptor(desc, h, fld.q)
     prov = {"descriptor": desc.to_dict(), "h": h, "q": fld.q}
-    fam = desc.family
-    if fam == "del_pezzo":
-        if h != 1:
-            raise InvalidParams("blow-up codes are anticanonical: h must be 1")
-        points, basis, _ = delpezzo_points(desc["l"], fld)
-        labels = [str(f) for f in basis]
-        coords = [
-            Form.monomial(fld, tuple(1 if j == i else 0 for j in range(points.ambient + 1)))
-            for i in range(points.ambient + 1)
-        ]
+    if fam.blow_up is not None:
+        # The columns already hold the values of the cubics through the base
+        # points, so the code evaluates the coordinate functions.
+        points, cubics, _ = delpezzo_points(fam.blow_up(desc.params), fld)
+        coords = [Form.monomial(fld, e) for e in enumerate_monomials(points.ambient, 1)]
+        labels = [str(f) for f in cubics]
         return build_evaluation_code(points, coords, basis_labels=labels, provenance=prov)
-    if fam == "toric":
-        points, basis, labels = toric_points(desc["s"], desc["lattice_points"], fld)
-        return build_evaluation_code(points, basis, basis_labels=labels, provenance=prov)
-    if fam == "p1xp1":
-        points = build_point_set(desc, fld)
-        basis, labels = p1p1_basis(desc["alpha"], desc["beta"], fld)
-        return build_evaluation_code(points, basis, basis_labels=labels, provenance=prov)
     points = build_point_set(desc, fld)
-    return build_evaluation_code(points, h=h, provenance=prov)
+    basis, labels = fam.basis(desc.params, fld) if fam.basis else (None, None)
+    return build_evaluation_code(points, basis, h, labels, prov)
 
 
 # -- the enumeration engine ---------------------------------------------------------
@@ -324,7 +326,7 @@ def weight_distribution(
     partial = _run_tasks(list(_class_tasks(k, q, ex.block)), worker, workers)
     hist = np.sum(partial, axis=0) * (q - 1)
     hist[0] += 1
-    assert int(hist.sum()) == q**k, "weight enumerator normalization failed"
+    invariant(int(hist.sum()) == q**k, "weight enumerator normalization failed")
     counts = {w: int(c) for w, c in enumerate(hist) if c}
     code._wdist = WeightEnumerator(counts)
     if code._d is None and len(counts) > 1:

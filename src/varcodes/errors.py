@@ -85,6 +85,10 @@ class OutOfTheoremRange(InputError):
         self.hypothesis = hypothesis
 
 
+class FieldTooSmall(InvalidParams, OutOfTheoremRange):
+    """q below a family's range, which its construction and theorem share."""
+
+
 class GeneralPositionFailure(InputError):
     pass
 
@@ -102,6 +106,12 @@ class BudgetExceeded(RuntimeError):
 
 class InternalError(AssertionError):
     """Defensive invariant failure (CLI exit code 4)."""
+
+
+def invariant(cond: bool, message: str) -> None:
+    """Raise InternalError unless cond holds (unlike assert, kept under -O)."""
+    if not cond:
+        raise InternalError(message)
 
 
 class AmbiguousClassification(InternalError):

@@ -16,18 +16,21 @@ enumeration bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import (
     DegreeZero,
     DivisionByZero,
     FieldTooLarge,
+    InternalError,
     InvalidParams,
     NotPrime,
     NotQuadraticExtension,
+    invariant,
 )
 
-DEFAULT_MAX_ORDER = 1 << 16
+MAX_ORDER = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -39,6 +42,19 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e; NotPrime unless q is a prime power >= 2."""
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        e, rest = 0, q
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if rest == 1:
+            return p, e
+    raise NotPrime(f"{q} is not a prime power")
 
 
 def prime_factors(n: int) -> list[int]:
@@ -90,7 +106,7 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
         poly = coeffs + [1]
         if _poly_is_irreducible(poly, p):
             return tuple(poly)
-    raise AssertionError(f"no irreducible polynomial of degree {e} over GF({p})")
+    raise InternalError(f"no irreducible polynomial of degree {e} over GF({p})")
 
 
 class GF:
@@ -99,14 +115,14 @@ class GF:
     Immutable after construction; all operations are pure.
     """
 
-    def __init__(self, p: int, e: int = 1, max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
             raise NotPrime(f"characteristic {p} is not prime")
         if e < 1:
             raise DegreeZero(f"extension degree must be >= 1, got {e}")
         q = p**e
-        if q > max_order:
-            raise FieldTooLarge(f"p^e = {q} exceeds the cap {max_order}")
+        if q > MAX_ORDER:
+            raise FieldTooLarge(f"p^e = {q} exceeds the cap {MAX_ORDER}")
         self.p = p
         self.e = e
         self.q = q
@@ -120,9 +136,10 @@ class GF:
             self.exp[i] = x
             self.log[x] = i
             x = self._mul_raw(x, self.generator)
-        assert x == 1, "generator order check failed"
-        assert sorted(self.exp[: q - 1]) == list(range(1, q)), (
-            "exp table is not a bijection onto the nonzero elements"
+        invariant(x == 1, "generator order check failed")
+        invariant(
+            sorted(self.exp[: q - 1]) == list(range(1, q)),
+            "exp table is not a bijection onto the nonzero elements",
         )
         self._np_vec = None
 
@@ -161,7 +178,7 @@ class GF:
         for g in range(1, self.q):
             if all(self._pow_raw(g, c) != 1 for c in cofactors):
                 return g
-        raise AssertionError("no generator found")  # impossible: F_q* is cyclic
+        raise InternalError("no generator found")  # impossible: F_q* is cyclic
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -255,17 +272,7 @@ class GF:
     @classmethod
     def from_order(cls, q: int) -> "GF":
         """GF(q) for a prime power q, factoring q as p^e."""
-        for p in range(2, q + 1):
-            if is_prime(p) and q % p == 0:
-                e = 0
-                m = q
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                if m != 1:
-                    raise NotPrime(f"{q} is not a prime power")
-                return field(p, e)
-        raise NotPrime(f"{q} is not a prime power")
+        return field(*prime_power(q))
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
@@ -282,6 +289,3 @@ def field(p: int, e: int = 1) -> GF:
     """Cached GF(p^e) constructor; repeated calls return the same object."""
     return GF(p, e)
 
-
-def field_from_order(q: int) -> GF:
-    return GF.from_order(q)

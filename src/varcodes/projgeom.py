@@ -19,11 +19,6 @@ Point = tuple[int, ...]
 Exponents = tuple[int, ...]
 
 
-def projective_point_count(m: int, q: int) -> int:
-    """#P^m(F_q) = q^m + ... + q + 1."""
-    return sum(q**i for i in range(m + 1))
-
-
 def enumerate_projective_points(
     m: int, fld: GF, affine_only: bool = False
 ) -> list[Point]:
@@ -222,10 +217,6 @@ class Form:
             int(d["degree"]),
             {tuple(map(int, e)): int(c) for e, c in d["terms"]},
         )
-
-
-def evaluate_form(f: Form, point: tuple[int, ...]) -> int:
-    return f.evaluate(point)
 
 
 def enumerate_hyperplanes(m: int, fld: GF) -> list[Form]:

@@ -4,6 +4,9 @@ Every construction is deterministic: points come out in the fixed
 enumeration order of projgeom, subspaces in pivot-pattern order, blown-up
 directions in P^1 order.  A PointSet holds the ordered evaluation columns
 (projective coordinate vectors) together with per-point origin labels.
+
+Arguments are trusted: descriptors are validated once, against the family
+table (`families.check_descriptor`), before any construction here runs.
 """
 
 from __future__ import annotations
@@ -17,13 +20,11 @@ from . import bounds
 from .errors import (
     AmbiguousClassification,
     DimensionMismatch,
-    EmptyPolytope,
     GeneralPositionFailure,
-    InvalidAlpha,
+    InternalError,
     InvalidParams,
     NotQuadratic,
-    NotQuadraticExtension,
-    ParityMismatch,
+    invariant,
 )
 from .gf import GF
 from .linalg import Matrix, det, maximal_minors, rank, rank_and_kernel
@@ -33,7 +34,6 @@ from .projgeom import (
     canonicalize,
     enumerate_monomials,
     enumerate_projective_points,
-    monomial_name,
 )
 
 
@@ -89,6 +89,8 @@ class VarietyDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VarietyDescriptor":
+        if not isinstance(d, dict):
+            raise InvalidParams(f"a descriptor must be a JSON object, got {d!r}")
         d = dict(d)
         try:
             family = d.pop("family")
@@ -100,14 +102,6 @@ class VarietyDescriptor:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.family}({inner})"
 
-    def __getitem__(self, key: str):
-        try:
-            return self.params[key]
-        except KeyError:
-            raise InvalidParams(
-                f"{self.family} descriptor is missing parameter {key!r}"
-            ) from None
-
 
 # -- quadrics -------------------------------------------------------------------
 
@@ -117,7 +111,7 @@ def irreducible_binary_quadratic_coeff(fld: GF) -> int:
     for c in fld.elements():
         if all(fld.add(fld.add(fld.mul(t, t), t), c) != 0 for t in fld.elements()):
             return c
-    raise AssertionError("no irreducible quadratic x^2 + x + c exists")
+    raise InternalError("no irreducible quadratic x^2 + x + c exists")
 
 
 def quadric_normal_form(m: int, w: int, fld: GF) -> Form:
@@ -127,12 +121,6 @@ def quadric_normal_form(m: int, w: int, fld: GF) -> Form:
     w = 2 (hyperbolic, m odd):  x0*x1 + x2*x3 + ...
     w = 0 (elliptic, m odd):    x0^2 + x0*x1 + c*x1^2 + x2*x3 + ...
     """
-    if w not in (0, 1, 2):
-        raise InvalidParams(f"character must be 0, 1 or 2, got {w}")
-    if w == 1 and m % 2 != 0:
-        raise ParityMismatch("parabolic quadrics need even m")
-    if w in (0, 2) and m % 2 != 1:
-        raise ParityMismatch("hyperbolic and elliptic quadrics need odd m")
 
     def e2(i: int, j: int) -> tuple[int, ...]:
         return tuple(
@@ -230,8 +218,6 @@ def hypersurface_points(f: Form) -> PointSet:
 
 def hermitian_form(m: int, r: int, fld: GF) -> Form:
     """x0^(r+1) + ... + xm^(r+1) over GF(r^2)."""
-    if fld.q != r * r:
-        raise NotQuadraticExtension(f"GF({fld.q}) is not GF({r}^2)")
     terms = {
         tuple((r + 1) if k == i else 0 for k in range(m + 1)): 1
         for i in range(m + 1)
@@ -244,8 +230,6 @@ def hermitian_form(m: int, r: int, fld: GF) -> Form:
 
 def subspace_representatives(l: int, m: int, fld: GF) -> Iterator[Matrix]:
     """RREF bases of all l-dimensional subspaces of F_q^m, by pivot pattern."""
-    if not 1 <= l < m:
-        raise InvalidParams(f"need 1 <= l < m, got l={l}, m={m}")
     q = fld.q
     for pivots in combinations(range(m), l):
         free = [
@@ -269,21 +253,16 @@ def grassmann_points(l: int, m: int, fld: GF) -> PointSet:
     labels = []
     for rep in subspace_representatives(l, m, fld):
         vec = tuple(maximal_minors(rep))
-        assert next(x for x in vec if x) == 1, "pivot minor should lead"
+        invariant(next(x for x in vec if x) == 1, "pivot minor should lead")
         pts.append(vec)
         labels.append("span" + str(rep.rows))
     expected = bounds.gaussian_binomial(m, l, fld.q)
-    assert len(pts) == expected, f"{len(pts)} subspaces, expected {expected}"
+    invariant(len(pts) == expected, f"{len(pts)} subspaces, expected {expected}")
     return PointSet(fld, len(pts[0]) - 1, pts, labels)
 
 
 def schubert_points(l: int, m: int, alpha: list[int], fld: GF) -> PointSet:
     """Subset of the Grassmannian satisfying dim(W meet A_alpha_i) >= i."""
-    alpha = list(alpha)
-    if len(alpha) != l or any(
-        not 1 <= a <= m for a in alpha
-    ) or any(a > b for a, b in zip(alpha, alpha[1:])):
-        raise InvalidAlpha(f"need 1 <= a1 <= ... <= a{l} <= {m}, got {alpha}")
 
     def satisfies(rep: Matrix) -> bool:
         for i, a in enumerate(alpha, start=1):
@@ -310,8 +289,6 @@ def flag_points(m: int, fld: GF) -> PointSet:
     Coordinates z_ij = x_i * y_j for x the point, y the hyperplane
     coefficients; incidence makes the diagonal trace vanish.
     """
-    if m < 2:
-        raise InvalidParams(f"need m >= 2, got {m}")
     reps = enumerate_projective_points(m - 1, fld)
     pts = []
     labels = []
@@ -326,7 +303,7 @@ def flag_points(m: int, fld: GF) -> PointSet:
             pts.append(z)
             labels.append(f"P={point_label(x)} H={point_label(y)}")
     expected = bounds.flag_count(m, fld.q)
-    assert len(pts) == expected, f"{len(pts)} flags, expected {expected}"
+    invariant(len(pts) == expected, f"{len(pts)} flags, expected {expected}")
     return PointSet(fld, m * m - 1, pts, labels)
 
 
@@ -341,15 +318,14 @@ def _general_position_select(l: int, fld: GF) -> list[Point]:
     """
     candidates = enumerate_projective_points(2, fld)
     deg2 = enumerate_monomials(2, 2)
+    deg2_forms = [Form.monomial(fld, e) for e in deg2]
 
     def ok(chosen: list[Point], cand: Point) -> bool:
         for a, b in combinations(chosen, 2):
             if det(Matrix(fld, [list(a), list(b), list(cand)])) == 0:
                 return False
         if len(chosen) == 5:
-            rows = [
-                [_monomial_value(fld, e, p) for e in deg2] for p in chosen
-            ]
+            rows = [[f.evaluate(p) for f in deg2_forms] for p in chosen]
             _, ker = rank_and_kernel(Matrix(fld, rows))
             for conic_coeffs in ker.rows:
                 conic = Form.from_coeff_vector(fld, deg2, list(conic_coeffs))
@@ -378,16 +354,6 @@ def _general_position_select(l: int, fld: GF) -> list[Point]:
     return chosen
 
 
-def _monomial_value(fld: GF, expo: tuple[int, ...], p: tuple[int, ...]) -> int:
-    v = 1
-    for x, e in zip(p, expo):
-        if e:
-            if x == 0:
-                return 0
-            v = fld.mul(v, fld.pow(x, e))
-    return v
-
-
 def delpezzo_points(l: int, fld: GF) -> tuple[PointSet, list[Form], list[Point]]:
     """Evaluation data for the blow-up of P^2 at l general points, q > 4.
 
@@ -397,19 +363,14 @@ def delpezzo_points(l: int, fld: GF) -> tuple[PointSet, list[Form], list[Point]]
     points themselves.  Whether the configuration carries an Eckardt point
     is only visible downstream, from the measured minimum distance.
     """
-    if not 0 <= l <= 6:
-        raise InvalidParams(f"need 0 <= l <= 6, got {l}")
-    if fld.q <= 4:
-        raise InvalidParams(f"need q > 4 for general position, got q = {fld.q}")
     base = _general_position_select(l, fld)
     cubics = enumerate_monomials(2, 3)
+    basis = [Form.monomial(fld, e) for e in cubics]
     if l:
-        rows = [[_monomial_value(fld, e, p) for e in cubics] for p in base]
+        rows = [[f.evaluate(p) for f in basis] for p in base]
         r, ker = rank_and_kernel(Matrix(fld, rows))
-        assert r == l, "base points failed to impose independent conditions"
+        invariant(r == l, "base points failed to impose independent conditions")
         basis = [Form.from_coeff_vector(fld, cubics, list(v)) for v in ker.rows]
-    else:
-        basis = [Form.monomial(fld, e) for e in cubics]
 
     pts: list[tuple[int, ...]] = []
     labels: list[str] = []
@@ -428,11 +389,11 @@ def delpezzo_points(l: int, fld: GF) -> tuple[PointSet, list[Form], list[Point]]
             col = tuple(
                 fld.add(fld.mul(u, ga), fld.mul(v, gb)) for ga, gb in grads
             )
-            assert any(col), "anticanonical system failed to separate a direction"
+            invariant(any(col), "anticanonical system failed to separate a direction")
             pts.append(col)
             labels.append(f"E{point_label(bp)} dir {point_label((u, v))}")
-    q = fld.q
-    assert len(pts) == q * q + q + 1 + l * q
+    expected = fld.q * fld.q + fld.q + 1 + l * fld.q
+    invariant(len(pts) == expected, f"{len(pts)} columns, expected {expected}")
     return PointSet(fld, len(basis) - 1, pts, labels), basis, base
 
 
@@ -449,16 +410,7 @@ def toric_points(
     homogenized to degree max(|u|) with a power of x0 (values on the
     embedded torus are unchanged since x0 = 1 there).
     """
-    if s < 1:
-        raise InvalidParams(f"need s >= 1, got {s}")
-    if not lattice_points:
-        raise EmptyPolytope("no lattice points supplied")
-    reduced = []
-    for u in lattice_points:
-        u = tuple(int(x) for x in u)
-        if len(u) != s:
-            raise DimensionMismatch(f"lattice point {u} does not have {s} entries")
-        reduced.append(tuple(x % (fld.q - 1) for x in u))
+    reduced = [tuple(x % (fld.q - 1) for x in u) for u in lattice_points]
     degree = max(sum(u) for u in reduced)
     basis = []
     labels = []
@@ -473,14 +425,8 @@ def toric_points(
 
 def complete_intersection_points(forms: list[Form]) -> PointSet:
     """Common zero locus of m hypersurfaces in P^m, with a degree-product check."""
-    if not forms:
-        raise InvalidParams("need at least one form")
     fld = forms[0].field
     m = forms[0].ambient
-    if len(forms) != m:
-        raise InvalidParams(
-            f"a complete intersection in P^{m} needs exactly {m} forms, got {len(forms)}"
-        )
     pts = [
         p
         for p in enumerate_projective_points(m, fld)
@@ -512,8 +458,6 @@ def product_p1p1_points(fld: GF) -> PointSet:
 
 def p1p1_basis(alpha: int, beta: int, fld: GF) -> tuple[list[Form], list[str]]:
     """Bidegree (alpha, beta) monomials as degree alpha+beta forms in 4 variables."""
-    if alpha < 0 or beta < 0:
-        raise InvalidParams("bidegrees must be nonnegative")
     basis = []
     labels = []
     for i in range(alpha + 1):
@@ -522,41 +466,3 @@ def p1p1_basis(alpha: int, beta: int, fld: GF) -> tuple[list[Form], list[str]]:
             basis.append(Form.monomial(fld, expo))
             labels.append(f"x0^{alpha - i}*x1^{i}*y0^{beta - j}*y1^{j}")
     return basis, labels
-
-
-# -- descriptor dispatch -----------------------------------------------------------
-
-
-def build_point_set(desc: VarietyDescriptor, fld: GF) -> PointSet:
-    """Evaluation point set for a descriptor (basis-carrying families drop it)."""
-    fam = desc.family
-    if fam == "projective_space":
-        m = desc["m"]
-        pts = enumerate_projective_points(m, fld, desc.params.get("affine", False))
-        return PointSet(fld, m, pts, [point_label(p) for p in pts])
-    if fam == "quadric":
-        if "form" in desc.params:
-            f = Form.from_dict(fld, desc.params["form"])
-            if f.degree != 2:
-                raise NotQuadratic("quadric descriptor form must have degree 2")
-        else:
-            f = quadric_normal_form(desc["m"], desc["w"], fld)
-        return hypersurface_points(f)
-    if fam == "hermitian":
-        return hypersurface_points(hermitian_form(desc["m"], desc["r"], fld))
-    if fam == "grassmann":
-        return grassmann_points(desc["l"], desc["m"], fld)
-    if fam == "schubert":
-        return schubert_points(desc["l"], desc["m"], desc["alpha"], fld)
-    if fam == "flag":
-        return flag_points(desc["m"], fld)
-    if fam == "del_pezzo":
-        return delpezzo_points(desc["l"], fld)[0]
-    if fam == "toric":
-        return toric_points(desc["s"], desc["lattice_points"], fld)[0]
-    if fam == "complete_intersection":
-        forms = [Form.from_dict(fld, fd) for fd in desc["forms"]]
-        return complete_intersection_points(forms)
-    if fam == "p1xp1":
-        return product_p1p1_points(fld)
-    raise InvalidParams(f"unknown variety family {fam!r}")

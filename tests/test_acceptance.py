@@ -23,7 +23,7 @@ from varcodes.codes import (
     weight_distribution,
 )
 from varcodes.gf import GF
-from varcodes.predict import applicable_bounds, lower_bound_value, predict
+from varcodes.families import applicable_bounds, lower_bound_value, predict
 from varcodes.varieties import VarietyDescriptor, hypersurface_points
 
 GHW_SWEEP_BUDGET = 50_000_000

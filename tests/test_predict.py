@@ -4,8 +4,7 @@ import pytest
 
 from varcodes.codes import code_from_descriptor, min_distance, weight_distribution
 from varcodes.errors import NotQuadraticExtension, OutOfTheoremRange, ParityMismatch
-from varcodes.gf import GF
-from varcodes.predict import (
+from varcodes.families import (
     DICHOTOMY,
     EXACT,
     LOWER_BOUND,
@@ -13,6 +12,7 @@ from varcodes.predict import (
     lower_bound_value,
     predict,
 )
+from varcodes.gf import GF
 from varcodes.varieties import VarietyDescriptor
 
 

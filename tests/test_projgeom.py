@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from varcodes.bounds import sigma
 from varcodes.errors import DimensionMismatch
 from varcodes.gf import GF
 from varcodes.projgeom import (
@@ -12,8 +13,6 @@ from varcodes.projgeom import (
     enumerate_hyperplanes,
     enumerate_monomials,
     enumerate_projective_points,
-    evaluate_form,
-    projective_point_count,
 )
 
 
@@ -43,7 +42,7 @@ def test_point_counts_and_non_proportionality(q, m):
         pytest.skip("desk-scale sweep only")
     F = GF.from_order(q)
     pts = enumerate_projective_points(m, F)
-    assert len(pts) == projective_point_count(m, q)
+    assert len(pts) == sigma(m, q)
     canon = {canonicalize(F, p) for p in pts}
     assert len(canon) == len(pts)
     assert all(p == canonicalize(F, p) for p in pts)
@@ -108,7 +107,7 @@ def test_form_homogeneity(q):
             continue
         lam = rng.randrange(1, F.q)
         lp = tuple(F.mul(lam, x) for x in p)
-        assert evaluate_form(f, lp) == F.mul(F.pow(lam, 3), evaluate_form(f, p))
+        assert f.evaluate(lp) == F.mul(F.pow(lam, 3), f.evaluate(p))
 
 
 def test_hyperplane_counts():
@@ -122,7 +121,7 @@ def test_hyperplane_counts():
 def test_every_hyperplane_has_sigma_points(q, m):
     F = GF.from_order(q)
     pts = enumerate_projective_points(m, F)
-    expected = projective_point_count(m - 1, q)
+    expected = sigma(m - 1, q)
     for hp in enumerate_hyperplanes(m, F):
         assert sum(1 for p in pts if hp.evaluate(p) == 0) == expected
 

@@ -1,0 +1,143 @@
+"""Input validation at the boundary: descriptors, bound inputs, artifacts.
+
+Every bad input must end in exit code 2 with a message; broken invariants
+raise InternalError (exit code 4), also under python -O.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+from varcodes import cli
+from varcodes.codes import LinearCode, code_from_descriptor
+from varcodes.errors import InternalError, InvalidParams
+from varcodes.gf import GF
+from varcodes.varieties import VarietyDescriptor
+
+
+def run(capsys, *argv):
+    rc = cli.main(list(argv))
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["predict", '{"family":"projective_space","m":2}', "--q", "6"], "6 is not a prime power"),
+        (["predict", '{"family":"grassmann","l":2,"m":4}', "--q", "1"], "1 is not a prime power"),
+        (["predict", '{"family":"projective_space","m":0}', "--q", "4"], "'m' must be >= 1"),
+        (["build", '{"family":"projective_space","m":2,"junk":1}', "--q", "4"], "'junk'"),
+        (["build", '{"family":"projective_space","m":"x"}', "--q", "4"], "'m' must be int"),
+        (["build", '{"family":"grassmann","l":true,"m":4}', "--q", "2"], "'l' must be int"),
+        (["build", '{"family":"flag","m":3.0}', "--q", "2"], "'m' must be int"),
+        (["build", "[1,2]", "--q", "4"], "JSON object"),
+        (["build", '{"family":"p1xp1","alpha":1,"beta":1}', "--q", "3", "--h", "2"], "h = 1"),
+        (["build", '{"family":"toric","s":1,"lattice_points":[[0],[1]]}', "--q", "3", "--h", "2"],
+         "h = 1"),
+        (["build", '{"family":"projective_space","m":2}', "--q", "4", "--h", "-1"], "h >= 0"),
+        (["compare", '[{"descriptor":{"family":"projective_space","m":2},"q":"x"}]'], "'q' must be int"),
+        (["compare", '[{"descriptor":{"family":"projective_space","m":2}}]'], "missing 'q'"),
+        (["compare", '[{"descriptor":{"family":"projective_space","m":2},"q":2,"H":2}]'], "'H'"),
+        (["bound", "griesmer", '{"n":10,"k":3,"q":0}'], "0 is not a prime power"),
+        (["bound", "griesmer", '{"n":10,"k":3,"q":1}'], "1 is not a prime power"),
+        (["bound", "lachaud-sections", '{"q":-4,"m":3,"s":3,"n":45}'], "-4 is not a prime power"),
+        (["bound", "griesmer", '{"n":10,"k":3}'], "missing a required argument: 'q'"),
+        (["bound", "griesmer", '{"n":10,"k":3,"q":2,"x":1}'], "unexpected keyword argument 'x'"),
+        (["bound", "singleton", '{"n":"x","k":3}'], "'n' must be int"),
+        (["bound", "counts", '{"family":"flag","m":3,"q":1}'], "1 is not a prime power"),
+        (["bound", "counts", '{"family":"flag","q":2}'], "missing a required argument: 'm'"),
+        (["bound", "counts", '{"family":["flag"],"m":3,"q":2}'], "unknown count family"),
+    ],
+)
+def test_bad_input_exits_2_with_a_message(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert message in err
+
+
+def test_predict_rejects_what_build_rejects(capsys):
+    desc = '{"family":"projective_space","m":0}'
+    assert run(capsys, "build", desc, "--q", "4")[0] == 2
+    assert run(capsys, "predict", desc, "--q", "4")[0] == 2
+
+
+def _artifact(tmp_path, capsys, edit):
+    path = tmp_path / "code.json"
+    run(capsys, "build", '{"family":"projective_space","m":2}', "--q", "4", "--out", str(path))
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return data, path
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["point_labels"].pop(),
+        lambda d: d.update(n=999, k=1),
+        lambda d: d.pop("generator"),
+        lambda d: d["generator"].append(d["generator"][0]),
+        lambda d: d.update(generator=[]),
+        lambda d: d.update(field={"p": "2", "e": 2}),
+        lambda d: d.update(point_labels=[0] * d["n"]),
+    ],
+    ids=["labels", "n-k", "no-generator", "rank", "empty", "field", "label-kind"],
+)
+def test_inconsistent_artifacts_rejected(tmp_path, capsys, edit):
+    data, path = _artifact(tmp_path, capsys, edit)
+    with pytest.raises(InvalidParams):
+        LinearCode.from_dict(data)
+    rc, _, err = run(capsys, "analyze", str(path))
+    assert rc == 2 and "input error" in err
+
+
+def test_ghw_task_needs_an_integer_rank(tmp_path, capsys):
+    _, path = _artifact(tmp_path, capsys, lambda d: None)
+    rc, _, err = run(capsys, "analyze", str(path), "--tasks", "ghw:x")
+    assert rc == 2 and "ghw:x" in err
+
+
+def test_fixed_basis_families_refuse_other_degrees():
+    for desc in (
+        VarietyDescriptor("p1xp1", {"alpha": 1, "beta": 1}),
+        VarietyDescriptor("toric", {"s": 1, "lattice_points": [[0], [1]]}),
+    ):
+        with pytest.raises(InvalidParams):
+            code_from_descriptor(desc, 2, GF(3))
+
+
+def test_internal_errors_are_not_input_errors(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "cmd_points", broken)
+    with pytest.raises(KeyError):
+        cli.main(["points", '{"family":"projective_space","m":2}', "--q", "2"])
+
+
+def test_broken_invariant_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(GF, "_find_generator", lambda self: 1)
+    with pytest.raises(InternalError):
+        GF(5)
+    rc, _, err = run(capsys, "field", "5")
+    assert rc == 4 and "internal invariant failure" in err
+
+
+def test_invariants_survive_optimize_flag():
+    code = (
+        "from varcodes.gf import GF\n"
+        "from varcodes.errors import InternalError\n"
+        "GF._find_generator = lambda self: 1\n"
+        "try:\n"
+        "    GF(5)\n"
+        "except InternalError:\n"
+        "    print('caught')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.stdout.strip() == "caught", result.stderr

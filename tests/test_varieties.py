@@ -15,12 +15,12 @@ from varcodes.errors import (
     NotQuadraticExtension,
     ParityMismatch,
 )
+from varcodes.families import build_point_set, check_descriptor
 from varcodes.gf import GF
 from varcodes.linalg import Matrix
 from varcodes.projgeom import Form, enumerate_projective_points
 from varcodes.varieties import (
     VarietyDescriptor,
-    build_point_set,
     classify_quadric,
     complete_intersection_points,
     delpezzo_points,
@@ -80,9 +80,9 @@ def test_irreducible_binary_quadratic_coeff_by_search():
 
 def test_normal_form_parity_mismatch():
     with pytest.raises(ParityMismatch):
-        quadric_normal_form(2, 2, F2)
+        check_descriptor(VarietyDescriptor("quadric", {"m": 2, "w": 2}), 1, 2)
     with pytest.raises(ParityMismatch):
-        quadric_normal_form(3, 1, F2)
+        check_descriptor(VarietyDescriptor("quadric", {"m": 3, "w": 1}), 1, 2)
 
 
 def test_classify_hyperbolic_p3_gf2():
@@ -141,7 +141,7 @@ def test_degenerate_quadric_counts_match_cone_formula(q):
 
 def test_hermitian_form_needs_square_field():
     with pytest.raises(NotQuadraticExtension):
-        hermitian_form(2, 2, F3)
+        check_descriptor(VarietyDescriptor("hermitian", {"m": 2, "r": 2}), 1, 3)
 
 
 @pytest.mark.parametrize(
@@ -264,10 +264,10 @@ def test_schubert_rank_condition_filter_oracle():
 
 
 def test_schubert_invalid_alpha():
-    with pytest.raises(InvalidAlpha):
-        schubert_points(2, 4, [4, 3], F2)
-    with pytest.raises(InvalidAlpha):
-        schubert_points(2, 4, [0, 4], F2)
+    for alpha in ([4, 3], [0, 4]):
+        desc = VarietyDescriptor("schubert", {"l": 2, "m": 4, "alpha": alpha})
+        with pytest.raises(InvalidAlpha):
+            check_descriptor(desc, 1, 2)
 
 
 # -- flag varieties ----------------------------------------------------------------
@@ -345,7 +345,7 @@ def test_delpezzo_six_points_exist_over_gf7():
 
 def test_delpezzo_small_field_rejected():
     with pytest.raises(InvalidParams):
-        delpezzo_points(1, F4)
+        check_descriptor(VarietyDescriptor("del_pezzo", {"l": 1}), 1, 4)
 
 
 # -- toric, complete intersections, products ----------------------------------------
@@ -369,9 +369,10 @@ def test_toric_exponent_reduction():
     # exponents live mod q - 1 on the torus
     pts, basis, _ = toric_points(1, [(5,)], F4)
     assert basis[0].degree == 5 % 3
-    assert pytest.raises(EmptyPolytope, toric_points, 1, [], F4)
+    with pytest.raises(EmptyPolytope):
+        check_descriptor(VarietyDescriptor("toric", {"s": 1, "lattice_points": []}), 1, 4)
     with pytest.raises(DimensionMismatch):
-        toric_points(2, [(1,)], F4)
+        check_descriptor(VarietyDescriptor("toric", {"s": 2, "lattice_points": [[1]]}), 1, 4)
 
 
 def test_complete_intersection_affine_points():
@@ -420,7 +421,8 @@ def test_descriptor_round_trip():
 def test_build_point_set_dispatch():
     assert len(build_point_set(VarietyDescriptor("projective_space", {"m": 2}), F2)) == 7
     assert len(build_point_set(VarietyDescriptor("hermitian", {"m": 2, "r": 2}), F4)) == 9
-    assert len(build_point_set(VarietyDescriptor("p1xp1", {}), F3)) == 16
+    p1xp1 = VarietyDescriptor("p1xp1", {"alpha": 1, "beta": 1})
+    assert len(build_point_set(p1xp1, F3)) == 16
     with pytest.raises(InvalidParams):
         build_point_set(VarietyDescriptor("nonsense", {}), F2)
 
