@@ -312,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("budget", "workers"):
+            if getattr(args, flag, 1) < 1:
+                raise InputError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
         return args.fn(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

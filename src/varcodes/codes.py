@@ -1,23 +1,25 @@
 """Evaluation codes and exact parameter measurement.
 
-The brute-force engine enumerates one representative per scalar class of
-nonzero messages (first nonzero coordinate 1); weights are scalar-invariant
-so this is exact and q-1 times cheaper.  Arithmetic over GF(p^e) is pushed
-through one real matrix product per block: each generator entry expands to
-the e x e multiplication matrix of that element over GF(p), messages expand
-to their polynomial-basis digits, and the digit sums stay far below 2^53 so
-float64 BLAS products are exact.
+One exact integer enumeration measures everything: it walks the RREF pivot
+patterns of r x k message matrices, so each r-dimensional subcode is met
+once, and reports the support size of every subcode.  Codewords are
+vectors of field-element indices; addition is XOR in characteristic 2 and
+digitwise mod p otherwise, scalar multiples come from the exp/log tables,
+and supports are OR'ed as packed bits.  The r = 1 subcodes are the scalar
+classes of nonzero codewords, so the minimum distance and the weight
+distribution are reductions over r = 1, and the r-th generalized Hamming
+weight is the minimum over rank r.
 
-Enumeration work is split into blocks of message indices; blocks can be
-processed by worker threads and merged with min / histogram-sum, which is
-associative, so results are identical to the sequential scan.
+The work is split into blocks, one table lookup each, that worker threads
+may share; the reductions (min, histogram sum) do not depend on the order,
+so results are identical to the sequential scan.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import product
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .errors import (
 )
 from .families import build_point_set, check_descriptor, require_fields
 from .gf import GF
-from .linalg import Matrix, rref
+from .linalg import Matrix, pivot_patterns, rref
 from .projgeom import Form, enumerate_monomials, monomial_name
 from .varieties import PointSet, VarietyDescriptor, delpezzo_points
 
@@ -211,122 +213,123 @@ def code_from_descriptor(
 
 # -- the enumeration engine ---------------------------------------------------------
 
-
-class _Expanded:
-    """Generator matrix expanded over the prime field for block matmuls."""
-
-    def __init__(self, code: LinearCode):
-        fld = code.field
-        k, n, e = code.k, code.n, fld.e
-        self.p, self.e, self.n, self.k, self.q = fld.p, e, n, k, fld.q
-        ghat = np.zeros((k * e, n * e), dtype=np.float64)
-        mulmats: dict[int, list[list[int]]] = {}
-        for j, row in enumerate(code.generator.rows):
-            for i, c in enumerate(row):
-                if c == 0:
-                    continue
-                M = mulmats.get(c)
-                if M is None:
-                    M = mulmats[c] = fld.mul_matrix(c)
-                for s in range(e):
-                    for t in range(e):
-                        ghat[j * e + s, i * e + t] = M[t][s]
-        self.ghat = ghat
-        self.vec_table = np.asarray(fld.vec_table, dtype=np.float64)
-        self.block = max(1024, min(65536, 4_000_000 // max(n * e, 1)))
-
-    def nonzero_pattern(self, msgs: np.ndarray) -> np.ndarray:
-        """(B, k) element-index messages -> (B, n) bool nonzero-coordinate mask."""
-        B = msgs.shape[0]
-        mv = self.vec_table[msgs].reshape(B, self.k * self.e)
-        z = (mv @ self.ghat).astype(np.int64) % self.p
-        return z.reshape(B, self.n, self.e).any(axis=2)
+BLOCK = 1 << 20  # field elements in one table of the enumeration
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
-def _digits_block(start: int, count: int, ndigits: int, q: int) -> np.ndarray:
-    idx = np.arange(start, start + count, dtype=np.int64)
-    out = np.zeros((count, max(ndigits, 1)), dtype=np.int64)
-    rem = idx
-    for pos in range(ndigits - 1, -1, -1):
-        out[:, pos] = rem % q
-        rem = rem // q
-    return out[:, :ndigits] if ndigits else out[:, :0]
+def _vector_ops(fld: GF):
+    """(dtype, add, multiples) on vectors of GF(p^e) element indices.
+
+    Indices are polynomial-basis digits, so addition is XOR when p = 2 and
+    digitwise mod p otherwise.  multiples(u) holds every scalar multiple of
+    u, one per row, from the exp/log tables.
+    """
+    p, q = fld.p, fld.q
+    dtype = np.uint8 if q <= 256 else np.uint16
+    exp, log = np.array(fld.exp, dtype=dtype), np.array(fld.log, dtype=np.int64)
+    pows = [p**i for i in range(fld.e)]
+
+    def add(a, b):
+        if p == 2:
+            return a ^ b
+        a, b = a.astype(np.int32), b.astype(np.int32)
+        return sum((a // pw + b // pw) % p * pw for pw in pows).astype(dtype)
+
+    def multiples(u):
+        scaled = exp[(np.arange(q - 1)[:, None] + log[u]) % (q - 1)]
+        return np.vstack([np.zeros_like(u), np.where(u != 0, scaled, 0)])
+
+    return dtype, add, multiples
 
 
-def _class_tasks(k: int, q: int, block: int):
-    """(pivot, start, count) chunks covering all scalar classes of messages."""
-    for t in range(k):
-        total = q ** (k - 1 - t)
-        start = 0
-        while start < total:
-            cnt = min(block, total - start)
-            yield t, start, cnt
-            start += cnt
+def _enumerate(code: LinearCode, r: int, fold, workers: int) -> list:
+    """fold(support sizes) over every block of the r-dimensional subcodes.
+
+    A subcode is the row space of one RREF message matrix: row i is
+    g[p_i] + sum of x_c g[c] over the columns c left free in row i.  For
+    r = 1 these are the scalar classes of nonzero codewords.  The free
+    entries of a pivot pattern split into a table of the last ones (at most
+    BLOCK elements, at least one entry) and a walk over the rest; one walk
+    step against the whole table is a block.  The table is closed under
+    negation, so w - t runs over the same rows as w + t, and w - t is nonzero
+    exactly where t != w.  Supports are OR'ed as packed bits.
+    """
+    n, q, nb = code.n, code.field.q, -(-code.n // 8)
+    dtype, add, multiples = _vector_ops(code.field)
+    g = np.zeros((code.k, 8 * nb), dtype=dtype)  # zero-padded to whole bytes
+    g[:, :n] = code.generator.rows
+    ones = np.ones(nb, dtype=np.intp)
+
+    def span(cols):
+        out = np.zeros((1, 8 * nb), dtype=dtype)
+        for c in cols:
+            out = add(out[:, None], multiples(g[c])[None]).reshape(-1, 8 * nb)
+        return out
+
+    def pack(nonzero):
+        return np.packbits(nonzero).reshape(-1, nb)
+
+    def blocks(pivots, free):
+        t = min(len(free), 1)
+        while t < len(free) and q ** (t + 1) * n <= BLOCK:
+            t += 1
+        head, tail = free[: len(free) - t], free[len(free) - t :]
+        j = tail[0][0] if tail else r - 1
+        table = span([c for i, c in tail if i == j])
+        mask = np.zeros((1, nb), dtype=np.uint8)
+        for row in range(j + 1, r):
+            sup = pack(add(span([c for i, c in tail if i == row]), g[pivots[row]]) != 0)
+            mask = (mask[:, None] | sup[None]).reshape(-1, nb)
+        table, mask = np.tile(table, (len(mask), 1)), np.repeat(mask, len(table), axis=0)
+        mults = {c: multiples(g[c]) for _, c in head}
+
+        def step(xs):
+            rows = list(g[list(pivots[: j + 1])])
+            for (i, c), x in zip(head, xs):
+                rows[i] = add(rows[i], mults[c][x])
+            packed = pack(table != rows[j]) | mask
+            for row in rows[:j]:
+                packed |= pack(row != 0)
+            return fold(np.take(_POPCOUNT, packed) @ ones)
+
+        return step, product(range(q), repeat=len(head))
+
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        run = pool.map if workers > 1 else map
+        return [out for pattern in pivot_patterns(r, code.k) for out in run(*blocks(*pattern))]
 
 
-def _class_messages(k: int, q: int, t: int, start: int, cnt: int) -> np.ndarray:
-    msgs = np.zeros((cnt, k), dtype=np.int64)
-    msgs[:, t] = 1
-    ndigits = k - 1 - t
-    if ndigits:
-        msgs[:, t + 1 :] = _digits_block(start, cnt, ndigits, q)
-    return msgs
-
-
-def _run_tasks(tasks, worker, workers: int):
-    if workers <= 1:
-        return [worker(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+def _check_budget(code: LinearCode, r: int, budget: int, what: str) -> None:
+    est = code.n * gaussian_binomial(code.k, r, code.field.q)
+    if est > budget:
+        raise BudgetExceeded(est, budget, what)
 
 
 def estimate_min_distance_cost(n: int, k: int, q: int) -> int:
-    return n * ((q**k - 1) // (q - 1))
+    return n * gaussian_binomial(k, 1, q)
 
 
 def min_distance(
     code: LinearCode, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> int:
-    """Exact minimum distance by scalar-class enumeration."""
-    if code._d is not None:
-        return code._d
-    est = estimate_min_distance_cost(code.n, code.k, code.field.q)
-    if est > budget:
-        raise BudgetExceeded(est, budget, "minimum distance enumeration")
-    ex = _Expanded(code)
-    q, k = code.field.q, code.k
-
-    def worker(task):
-        t, start, cnt = task
-        weights = ex.nonzero_pattern(_class_messages(k, q, t, start, cnt)).sum(axis=1)
-        return int(weights.min())
-
-    partial = _run_tasks(list(_class_tasks(k, q, ex.block)), worker, workers)
-    code._d = min(partial)
+    """Exact minimum distance: the least weight over the scalar classes."""
+    if code._d is None:
+        _check_budget(code, 1, budget, "minimum distance enumeration")
+        code._d = int(min(_enumerate(code, 1, np.min, workers)))
     return code._d
 
 
 def weight_distribution(
     code: LinearCode, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> WeightEnumerator:
-    """Exact weight enumerator over all q^k codewords."""
+    """Exact weight enumerator: the scalar-class histogram times q - 1, plus 0."""
     if code._wdist is not None:
         return code._wdist
-    q, k, n = code.field.q, code.k, code.n
-    est = n * q**k
-    if est > budget:
-        raise BudgetExceeded(est, budget, "weight distribution enumeration")
-    ex = _Expanded(code)
-
-    def worker(task):
-        t, start, cnt = task
-        weights = ex.nonzero_pattern(_class_messages(k, q, t, start, cnt)).sum(axis=1)
-        return np.bincount(weights, minlength=n + 1)
-
-    partial = _run_tasks(list(_class_tasks(k, q, ex.block)), worker, workers)
-    hist = np.sum(partial, axis=0) * (q - 1)
+    q, n = code.field.q, code.n
+    _check_budget(code, 1, budget, "weight distribution enumeration")
+    hist = (q - 1) * sum(_enumerate(code, 1, lambda w: np.bincount(w, minlength=n + 1), workers))
     hist[0] += 1
-    invariant(int(hist.sum()) == q**k, "weight enumerator normalization failed")
+    invariant(int(hist.sum()) == q**code.k, "weight enumerator normalization failed")
     counts = {w: int(c) for w, c in enumerate(hist) if c}
     code._wdist = WeightEnumerator(counts)
     if code._d is None and len(counts) > 1:
@@ -337,47 +340,11 @@ def weight_distribution(
 def ghw(
     code: LinearCode, r: int, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> int:
-    """r-th generalized Hamming weight: minimal support of an r-dim subcode.
-
-    Enumerates r-dimensional message subspaces via RREF pivot patterns.
-    """
-    k, q, n = code.k, code.field.q, code.n
-    if not 1 <= r <= k:
-        raise InvalidParams(f"need 1 <= r <= k = {k}, got {r}")
-    est = gaussian_binomial(k, r, q) * n
-    if est > budget:
-        raise BudgetExceeded(est, budget, "subspace enumeration")
-    ex = _Expanded(code)
-    tasks = []
-    for pivots in combinations(range(k), r):
-        free = [
-            (i, c)
-            for i in range(r)
-            for c in range(k)
-            if c > pivots[i] and c not in pivots
-        ]
-        total = q ** len(free)
-        block = max(1, ex.block // r)
-        start = 0
-        while start < total:
-            cnt = min(block, total - start)
-            tasks.append((pivots, tuple(free), start, cnt))
-            start += cnt
-
-    def worker(task):
-        pivots, free, start, cnt = task
-        digits = _digits_block(start, cnt, len(free), q)
-        batch = np.zeros((cnt, r, k), dtype=np.int64)
-        for i, pc in enumerate(pivots):
-            batch[:, i, pc] = 1
-        for col, (i, c) in enumerate(free):
-            batch[:, i, c] = digits[:, col]
-        nz = ex.nonzero_pattern(batch.reshape(cnt * r, k)).reshape(cnt, r, n)
-        supports = nz.any(axis=1).sum(axis=1)
-        return int(supports.min())
-
-    partial = _run_tasks(tasks, worker, workers)
-    return min(partial)
+    """r-th generalized Hamming weight: the least support of an r-dim subcode."""
+    if not 1 <= r <= code.k:
+        raise InvalidParams(f"need 1 <= r <= k = {code.k}, got {r}")
+    _check_budget(code, r, budget, "subspace enumeration")
+    return int(min(_enumerate(code, r, np.min, workers)))
 
 
 def eckardt_detect(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:

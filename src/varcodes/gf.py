@@ -141,7 +141,6 @@ class GF:
             sorted(self.exp[: q - 1]) == list(range(1, q)),
             "exp table is not a bijection onto the nonzero elements",
         )
-        self._np_vec = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -240,22 +239,6 @@ class GF:
     def vec(self, a: int) -> tuple[int, ...]:
         """Polynomial-basis coordinates of a over GF(p), constant term first."""
         return tuple(self._digits(a))
-
-    def mul_matrix(self, c: int) -> list[list[int]]:
-        """e x e matrix over GF(p) of multiplication by c: vec(c*x) = M @ vec(x)."""
-        cols = [self._digits(self.mul(c, self.p**s)) for s in range(self.e)]
-        return [[cols[s][t] for s in range(self.e)] for t in range(self.e)]
-
-    @property
-    def vec_table(self):
-        """(q, e) int array of polynomial-basis digits, built lazily."""
-        if self._np_vec is None:
-            import numpy as np
-
-            self._np_vec = np.array(
-                [self._digits(a) for a in range(self.q)], dtype=np.int64
-            )
-        return self._np_vec
 
     def to_dict(self) -> dict:
         return {"p": self.p, "e": self.e, "q": self.q, "modulus": list(self.modulus)}

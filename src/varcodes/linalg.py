@@ -98,6 +98,16 @@ def rref(M: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix(F, R), pivots
 
 
+def pivot_patterns(r: int, k: int):
+    """(pivots, free) for every RREF pattern of an r x k matrix of rank r.
+
+    free lists the (row, column) entries the pattern leaves free, row by row.
+    """
+    for pivots in combinations(range(k), r):
+        free = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, k) if c not in pivots]
+        yield pivots, free
+
+
 def rank(M: Matrix) -> int:
     return len(rref(M)[1])
 

@@ -27,7 +27,7 @@ from .errors import (
     invariant,
 )
 from .gf import GF
-from .linalg import Matrix, det, maximal_minors, rank, rank_and_kernel
+from .linalg import Matrix, det, maximal_minors, pivot_patterns, rank, rank_and_kernel
 from .projgeom import (
     Form,
     Point,
@@ -230,15 +230,8 @@ def hermitian_form(m: int, r: int, fld: GF) -> Form:
 
 def subspace_representatives(l: int, m: int, fld: GF) -> Iterator[Matrix]:
     """RREF bases of all l-dimensional subspaces of F_q^m, by pivot pattern."""
-    q = fld.q
-    for pivots in combinations(range(m), l):
-        free = [
-            (i, c)
-            for i in range(l)
-            for c in range(m)
-            if c > pivots[i] and c not in pivots
-        ]
-        for values in product(range(q), repeat=len(free)):
+    for pivots, free in pivot_patterns(l, m):
+        for values in product(range(fld.q), repeat=len(free)):
             rows = [[0] * m for _ in range(l)]
             for i, pc in enumerate(pivots):
                 rows[i][pc] = 1

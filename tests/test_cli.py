@@ -178,3 +178,30 @@ def test_console_entry_point_subprocess(tmp_path):
         capture_output=True, text=True,
     )
     assert r3.stdout == r2.stdout  # byte-identical across processes
+
+
+def test_wdist_budget_counts_scalar_classes(tmp_path, capsys):
+    # d and wdist enumerate the same (q^k - 1)/(q - 1) classes, so one
+    # estimate, n * 40 = 640 on the [16,4]_3 quadric code, covers both.
+    artifact = tmp_path / "quad.json"
+    run(capsys, "build", '{"family":"quadric","m":3,"w":2}', "--q", "3", "--out", str(artifact))
+    rc, full, _ = run(capsys, "analyze", str(artifact), "--tasks", "wdist")
+    assert rc == 0
+    rc, out, _ = run(capsys, "analyze", str(artifact), "--tasks", "wdist", "--budget", "700")
+    assert rc == 0 and out == full
+    rc, _, _ = run(capsys, "analyze", str(artifact), "--tasks", "d", "--budget", "640")
+    assert rc == 0
+    rc, _, err = run(capsys, "analyze", str(artifact), "--tasks", "wdist", "--budget", "639")
+    assert rc == 3 and "640" in err
+
+
+def test_workers_and_budget_must_be_positive(tmp_path, capsys):
+    artifact = tmp_path / "code.json"
+    run(capsys, "build", '{"family":"projective_space","m":2}', "--q", "2", "--out", str(artifact))
+    specs = '[{"descriptor":{"family":"projective_space","m":2},"q":2}]'
+    for command in (["analyze", str(artifact)], ["compare", specs]):
+        for flag, value in (("--workers", "0"), ("--workers", "-3"), ("--budget", "0"),
+                            ("--budget", "-1")):
+            rc, out, err = run(capsys, *command, flag, value)
+            assert (rc, out) == (2, "")
+            assert f"{flag} must be >= 1, got {value}" in err

@@ -1,9 +1,13 @@
 """Code construction and exact parameter measurement."""
 
 import random
+from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from varcodes import codes
 from varcodes.codes import (
     LinearCode,
     build_evaluation_code,
@@ -22,7 +26,7 @@ from varcodes.errors import (
     UnexpectedDistance,
 )
 from varcodes.gf import GF
-from varcodes.linalg import Matrix, rank
+from varcodes.linalg import Matrix, rank, rank_and_kernel, rref
 from varcodes.varieties import PointSet, VarietyDescriptor
 
 F2, F3, F4, F5, F7, F8, F9 = (
@@ -197,7 +201,7 @@ def test_workers_match_sequential():
 
 
 def test_extension_field_engine_matches_naive_enumeration():
-    # Cross-check the expanded-matrix engine against plain field arithmetic.
+    # Cross-check the enumeration engine against plain field arithmetic.
     code = _code("hermitian", {"m": 1, "r": 2}, 1, F4)
     from itertools import product as iproduct
 
@@ -306,22 +310,116 @@ def test_del_pezzo_h_must_be_one():
         _code("del_pezzo", {"l": 1}, 2, F5)
 
 
+def _naive_codewords(code):
+    """Every codeword, with scalar field arithmetic only."""
+    F = code.field
+    words = [[0] * code.n]
+    for row in code.generator.rows:
+        words = [
+            [F.add(x, F.mul(c, g)) for x, g in zip(word, row)]
+            for word in words
+            for c in F.elements()
+        ]
+    return words
+
+
 def _naive_weight_histogram(code):
     """Reference enumeration with scalar field arithmetic only."""
-    from itertools import product as iproduct
-
-    F = code.field
     hist = {}
-    for msg in iproduct(range(F.q), repeat=code.k):
-        word = [0] * code.n
-        for j, c in enumerate(msg):
-            if c == 0:
-                continue
-            for col in range(code.n):
-                word[col] = F.add(word[col], F.mul(c, code.generator.rows[j][col]))
+    for word in _naive_codewords(code):
         w = sum(1 for x in word if x)
         hist[w] = hist.get(w, 0) + 1
     return hist
+
+
+def _naive_ghw(code):
+    """[d_1, ..., d_k] from the codewords alone (small n).
+
+    The codewords supported inside a column set T form a subcode, so
+    d_r is the least |T| that holds at least q^r codewords (Wei, 1991).
+    """
+    n, q = code.n, code.field.q
+    inside = [0] * (1 << n)
+    for word in _naive_codewords(code):
+        inside[sum(1 << c for c, x in enumerate(word) if x)] += 1
+    for c in range(n):  # count the codewords supported in each subset
+        for T in range(1 << n):
+            if T >> c & 1:
+                inside[T] += inside[T ^ (1 << c)]
+    return [
+        min(bin(T).count("1") for T in range(1 << n) if inside[T] >= q**r)
+        for r in range(1, code.k + 1)
+    ]
+
+
+def _assert_engine_matches_reference(code):
+    hist = _naive_weight_histogram(code)
+    assert weight_distribution(code).counts == hist
+    assert min_distance(code) == min(w for w in hist if w)
+    assert [ghw(code, r) for r in range(1, code.k + 1)] == _naive_ghw(code)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_engine_matches_naive_reference(data):
+    # Random full-rank generators; the block size moves the split between
+    # the table and the walk, down to one free entry per table.
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
+    k = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(k, 8))
+    entry = st.integers(0, q - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    F = GF.from_order(q)
+    reduced, pivots = rref(Matrix(F, rows))
+    assume(len(pivots) == k)
+    code = LinearCode(F, reduced, [""] * n, [""] * k, {})
+    with mock.patch.object(codes, "BLOCK", data.draw(st.sampled_from([1, 64, codes.BLOCK]))):
+        _assert_engine_matches_reference(code)
+
+
+def test_engine_matches_naive_reference_uint16_odd_p():
+    # q = 257 > 256 takes 16-bit element indices with mod-p addition.
+    F = GF(257)
+    gen = Matrix(F, [[1, 0, 5, 256], [0, 1, 200, 3]])
+    _assert_engine_matches_reference(LinearCode(F, gen, [""] * 4, [""] * 2, {}))
+
+
+def _krawtchouk(j, i, n, q):
+    return sum(
+        (-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
+        for s in range(j + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "family,params,h,fld",
+    [
+        ("projective_space", {"m": 2}, 1, F2),      # [7,3]_2, dual Hamming [7,4]_2
+        ("grassmann", {"l": 2, "m": 4}, 1, F2),     # [35,6]_2
+        ("quadric", {"m": 3, "w": 2}, 1, F3),       # [16,4]_3
+        ("hermitian", {"m": 2, "r": 2}, 1, F4),     # [9,3]_4
+        ("hermitian", {"m": 3, "r": 2}, 1, F4),     # [45,4]_4
+        ("projective_space", {"m": 1}, 2, F9),      # [10,3]_9
+        ("hermitian", {"m": 2, "r": 3}, 1, F9),     # [28,3]_9
+    ],
+)
+def test_macwilliams_identity(family, params, h, fld):
+    # The Krawtchouk transform of A_w is the dual weight distribution: it
+    # must be integral and nonnegative with B_0 = 1, and where n - k is
+    # small it must equal the enumerated distribution of the dual code.
+    code = _code(family, params, h, fld)
+    n, k, q = code.n, code.k, fld.q
+    A = weight_distribution(code).counts
+    B = []
+    for j in range(n + 1):
+        total = sum(a * _krawtchouk(j, i, n, q) for i, a in A.items())
+        assert total >= 0 and total % q**k == 0
+        B.append(total // q**k)
+    assert B[0] == 1 and sum(B) == q ** (n - k)
+    if estimate_min_distance_cost(n, n - k, q) <= 10**7:
+        _, kernel = rank_and_kernel(code.generator)
+        dual = LinearCode(fld, kernel, [""] * n, [""] * (n - k), {})
+        assert weight_distribution(dual).counts == {w: b for w, b in enumerate(B) if b}
 
 
 @pytest.mark.parametrize(

@@ -161,21 +161,6 @@ def test_canonical_moduli_match_convention():
     assert GF(5, 2).modulus == (2, 0, 1)  # x^2 + 2
 
 
-def test_mul_matrix_represents_multiplication():
-    for q in (4, 8, 9, 25):
-        F = GF.from_order(q)
-        for c in F.elements():
-            M = F.mul_matrix(c)
-            for x in F.elements():
-                vx = F.vec(x)
-                expect = F.vec(F.mul(c, x))
-                got = tuple(
-                    sum(M[t][s] * vx[s] for s in range(F.e)) % F.p
-                    for t in range(F.e)
-                )
-                assert got == expect
-
-
 def test_field_cache_returns_same_object():
     assert field(2, 2) is field(2, 2)
     assert GF.from_order(9) is GF.from_order(9)
