@@ -56,13 +56,16 @@ def _load_json_arg(arg: str):
     return json.loads(arg)
 
 
-def _emit(payload, out_path: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_text(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, out_path: str | None):
+    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def cmd_field(args) -> int:
@@ -224,14 +227,6 @@ def cmd_compare(args) -> int:
                 )
         _write_text("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _write_text(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_export(args) -> int:

@@ -182,6 +182,8 @@ class GF:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         if self.e == 1:
             return (a + b) % self.p
         return self._from_digits(
@@ -189,6 +191,8 @@ class GF:
         )
 
     def neg(self, a: int) -> int:
+        if self.p == 2:
+            return a
         if self.e == 1:
             return (-a) % self.p
         return self._from_digits([-x for x in self._digits(a)])

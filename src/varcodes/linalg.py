@@ -37,12 +37,6 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, [row[:] for row in self.rows])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(col) for col in zip(*self.rows)])
-
     @classmethod
     def identity(cls, field: GF, n: int) -> "Matrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])

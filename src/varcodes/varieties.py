@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations_with_replacement, product
 from typing import Any, Iterator
 
 from . import bounds
@@ -308,43 +309,45 @@ def _general_position_select(l: int, fld: GF) -> list[Point]:
 
     Depth-first over the enumeration order (equals the plain greedy scan
     whenever that scan succeeds): no three collinear, no six on a conic.
+    Both are incidences on point indices.  The line through points a and b
+    is b plus the q points a + t*b; candidates on a line through two chosen
+    points are skipped.  Five points, no three collinear, lie on one conic,
+    and a sixth lies on it iff the six points' degree-2 monomials are dependent.
     """
-    candidates = enumerate_projective_points(2, fld)
-    deg2 = enumerate_monomials(2, 2)
-    deg2_forms = [Form.monomial(fld, e) for e in deg2]
+    points = enumerate_projective_points(2, fld)
+    index = {p: i for i, p in enumerate(points)}
+    veronese = [[fld.mul(a, b) for a, b in combinations_with_replacement(p, 2)] for p in points]
 
-    def ok(chosen: list[Point], cand: Point) -> bool:
-        for a, b in combinations(chosen, 2):
-            if det(Matrix(fld, [list(a), list(b), list(cand)])) == 0:
-                return False
-        if len(chosen) == 5:
-            rows = [[f.evaluate(p) for f in deg2_forms] for p in chosen]
-            _, ker = rank_and_kernel(Matrix(fld, rows))
-            for conic_coeffs in ker.rows:
-                conic = Form.from_coeff_vector(fld, deg2, list(conic_coeffs))
-                if conic.evaluate(cand) == 0:
-                    return False
-        return True
+    @cache
+    def line_through(i: int, j: int) -> frozenset[int]:
+        a, b = points[i], points[j]
+        span = (
+            canonicalize(fld, tuple(fld.add(x, fld.mul(t, y)) for x, y in zip(a, b)))
+            for t in fld.elements()
+        )
+        return frozenset((j, *(index[p] for p in span)))
 
-    chosen: list[Point] = []
+    chosen: list[int] = []
 
-    def search(start: int) -> bool:
+    def search(start: int, blocked: frozenset[int]) -> bool:
         if len(chosen) == l:
             return True
-        for idx in range(start, len(candidates)):
-            cand = candidates[idx]
-            if ok(chosen, cand):
-                chosen.append(cand)
-                if search(idx + 1):
-                    return True
-                chosen.pop()
+        for c in range(start, len(points)):
+            if c in blocked:
+                continue
+            if len(chosen) == 5 and det(Matrix(fld, [veronese[i] for i in chosen + [c]])) == 0:
+                continue
+            chosen.append(c)
+            if search(c + 1, blocked.union(*(line_through(i, c) for i in chosen[:-1]))):
+                return True
+            chosen.pop()
         return False
 
-    if not search(0):
+    if not search(0, frozenset()):
         raise GeneralPositionFailure(
             f"no {l} points of P^2(F_{fld.q}) in general position found"
         )
-    return chosen
+    return [points[i] for i in chosen]
 
 
 def delpezzo_points(l: int, fld: GF) -> tuple[PointSet, list[Form], list[Point]]:

@@ -422,6 +422,42 @@ def test_macwilliams_identity(family, params, h, fld):
         assert weight_distribution(dual).counts == {w: b for w, b in enumerate(B) if b}
 
 
+def _assert_wei_duality(code):
+    # Wei duality: {d_r(C)} and {n + 1 - d_r(C^perp)} partition {1, ..., n}.
+    n, k, fld = code.n, code.k, code.field
+    _, kernel = rank_and_kernel(code.generator)
+    dual = LinearCode(fld, rref(kernel)[0], [""] * n, [""] * (n - k), {})
+    primal = [ghw(code, r) for r in range(1, k + 1)]
+    shifted = [n + 1 - ghw(dual, r) for r in range(1, n - k + 1)]
+    assert sorted(primal + shifted) == list(range(1, n + 1))
+
+
+@pytest.mark.parametrize(
+    "family,params,h,fld",
+    [
+        ("projective_space", {"m": 2}, 1, F2),          # [7,3]_2
+        ("p1xp1", {"alpha": 1, "beta": 1}, 1, F2),     # [9,4]_2
+        ("projective_space", {"m": 1}, 2, F5),          # [6,3]_5
+    ],
+)
+def test_wei_duality(family, params, h, fld):
+    _assert_wei_duality(_code(family, params, h, fld))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_wei_duality_random_codes(data):
+    q = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(2, 7))
+    k = data.draw(st.integers(1, n - 1))
+    entry = st.integers(0, q - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    F = GF.from_order(q)
+    reduced, pivots = rref(Matrix(F, rows))
+    assume(len(pivots) == k)
+    _assert_wei_duality(LinearCode(F, reduced, [""] * n, [""] * k, {}))
+
+
 @pytest.mark.parametrize(
     "family,params,h,fld",
     [

@@ -119,6 +119,18 @@ def test_frobenius_is_additive(q):
             assert F.pow(F.add(a, b), p) == F.add(F.pow(a, p), F.pow(b, p))
 
 
+@pytest.mark.parametrize("q", [4, 8, 16, 256])
+def test_char2_addition_is_digitwise_mod_2(q):
+    # Oracle: the polynomial-basis digits added mod 2, one by one.
+    F = GF.from_order(q)
+    for a in range(q):
+        da = F._digits(a)
+        assert F.neg(a) == a
+        for b in range(q):
+            expected = F._from_digits([x + y for x, y in zip(da, F._digits(b))])
+            assert F.add(a, b) == F.sub(a, b) == expected
+
+
 def test_conjugate_gf4():
     F = GF(2, 2)
     assert F.conjugate(2, 2) == 3  # g^2 = g + 1 mod x^2 + x + 1

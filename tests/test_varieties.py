@@ -17,7 +17,7 @@ from varcodes.errors import (
 )
 from varcodes.families import build_point_set, check_descriptor
 from varcodes.gf import GF
-from varcodes.linalg import Matrix
+from varcodes.linalg import Matrix, rank
 from varcodes.projgeom import Form, enumerate_projective_points
 from varcodes.varieties import (
     VarietyDescriptor,
@@ -314,17 +314,39 @@ def test_delpezzo_l1_gf7():
     assert len(basis) == 9
 
 
-@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
-def test_delpezzo_counts_and_separation_gf5(l):
-    pts, basis, base = delpezzo_points(l, F5)
-    assert len(pts) == 31 + 5 * l
-    assert len(basis) == 10 - l
-    assert len(base) == l
-    # no three base points collinear
-    from varcodes.linalg import det
+# The first general-position points of P^2 in enumeration order; the l-point
+# search returns the first l of them (recorded from the det/kernel search
+# that preceded the incidence search).  Over GF(5) there is no sixth.
+_BASE_POINTS = {
+    5: [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 2, 3)],
+    7: [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 2, 3), (1, 2, 4)],
+    8: [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 2, 4), (1, 2, 6)],
+    9: [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 2, 3), (1, 2, 4)],
+}
 
+
+@pytest.mark.parametrize(
+    "l,fld",
+    [(l, F) for F in (F5, F7, F8, F9) for l in range(1, 7) if (l, F.q) != (6, 5)],
+    ids=lambda v: str(v.q) if isinstance(v, GF) else str(v),
+)
+def test_delpezzo_counts_and_separation(l, fld):
+    q = fld.q
+    pts, basis, base = delpezzo_points(l, fld)
+    assert base == _BASE_POINTS[q][:l]
+    assert len(pts) == q * q + q + 1 + q * l
+    assert len(basis) == 10 - l
+    # no three base points collinear
     for a, b, c in combinations(base, 3):
-        assert det(Matrix(F5, [list(a), list(b), list(c)])) != 0
+        assert rank(Matrix(fld, [list(a), list(b), list(c)])) == 3
+    # six base points on no conic: their degree-2 monomial values are independent
+    if l == 6:
+        mul = fld.mul
+        veronese = [
+            [mul(x, x), mul(x, y), mul(x, z), mul(y, y), mul(y, z), mul(z, z)]
+            for x, y, z in base
+        ]
+        assert rank(Matrix(fld, veronese)) == 6
     # columns pairwise non-proportional (directions separate, points separate)
     assert not pts.proportional_pairs()
 
