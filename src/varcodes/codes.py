@@ -3,9 +3,11 @@
 One exact integer enumeration measures everything: it walks the RREF pivot
 patterns of r x k message matrices, so each r-dimensional subcode is met
 once, and reports the support size of every subcode.  Codewords are
-vectors of field-element indices; addition is XOR in characteristic 2 and
-digitwise mod p otherwise, scalar multiples come from the exp/log tables,
-and supports are OR'ed as packed bits.  The r = 1 subcodes are the scalar
+vectors of field-element indices; addition is XOR in characteristic 2, a
+q x q table lookup for odd p up to q = 256 and digitwise mod p above, and
+scalar multiples come from the exp/log tables.  The tables of codewords are
+built once per enumeration.  Supports are packed to machine words, OR'ed
+and counted with np.bitwise_count.  The r = 1 subcodes are the scalar
 classes of nonzero codewords, so the minimum distance and the weight
 distribution are reductions over r = 1, and the r-th generalized Hamming
 weight is the minimum over rank r.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -214,24 +217,36 @@ def code_from_descriptor(
 # -- the enumeration engine ---------------------------------------------------------
 
 BLOCK = 1 << 20  # field elements in one table of the enumeration
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+@lru_cache(maxsize=None)
+def _add_table(fld: GF) -> np.ndarray:
+    """GF.add(a, b) at index a * q + b, for q <= 256 (so the index fits in uint16)."""
+    table = np.array([fld.add(a, b) for a in fld.elements() for b in fld.elements()], np.uint8)
+    table.flags.writeable = False  # shared by every enumeration over fld
+    return table
 
 
 def _vector_ops(fld: GF):
     """(dtype, add, multiples) on vectors of GF(p^e) element indices.
 
-    Indices are polynomial-basis digits, so addition is XOR when p = 2 and
-    digitwise mod p otherwise.  multiples(u) holds every scalar multiple of
-    u, one per row, from the exp/log tables.
+    Indices are polynomial-basis digits, so addition is XOR when p = 2.  For
+    odd p it is a lookup in the q x q table of GF.add when q <= 256, and
+    digitwise mod p above that, where a q x q table would not fit in memory.
+    multiples(u) holds every scalar multiple of u, one per row, from the
+    exp/log tables.
     """
     p, q = fld.p, fld.q
     dtype = np.uint8 if q <= 256 else np.uint16
     exp, log = np.array(fld.exp, dtype=dtype), np.array(fld.log, dtype=np.int64)
     pows = [p**i for i in range(fld.e)]
+    table = _add_table(fld) if p > 2 and q <= 256 else None
 
     def add(a, b):
         if p == 2:
             return a ^ b
+        if table is not None:
+            return table[a.astype(np.uint16) * q + b]
         a, b = a.astype(np.int32), b.astype(np.int32)
         return sum((a // pw + b // pw) % p * pw for pw in pows).astype(dtype)
 
@@ -252,22 +267,31 @@ def _enumerate(code: LinearCode, r: int, fold, workers: int) -> list:
     BLOCK elements, at least one entry) and a walk over the rest; one walk
     step against the whole table is a block.  The table is closed under
     negation, so w - t runs over the same rows as w + t, and w - t is nonzero
-    exactly where t != w.  Supports are OR'ed as packed bits.
-    """
-    n, q, nb = code.n, code.field.q, -(-code.n // 8)
-    dtype, add, multiples = _vector_ops(code.field)
-    g = np.zeros((code.k, 8 * nb), dtype=dtype)  # zero-padded to whole bytes
-    g[:, :n] = code.generator.rows
-    ones = np.ones(nb, dtype=np.intp)
+    exactly where t != w.
 
+    Tables are built once per call: span is memoized on its columns and
+    built from the span of their suffix, so every r = 1 pattern reuses one
+    chain of tables.  Supports are packed to bits, one uint8/16/32 word per
+    codeword when n <= 32 and whole uint64 words otherwise, OR'ed, and
+    counted with np.bitwise_count.
+    """
+    n, q = code.n, code.field.q
+    dtype, add, multiples = _vector_ops(code.field)
+    nbytes = next(b for b in (1, 2, 4) if 8 * b >= n) if n <= 32 else 8 * -(-n // 64)
+    word, width = np.dtype(f"u{min(nbytes, 8)}"), 8 * nbytes
+    g = np.zeros((code.k, width), dtype=dtype)  # zero-padded to whole words
+    g[:, :n] = code.generator.rows
+    nwords = nbytes // word.itemsize
+
+    @lru_cache(maxsize=None)
     def span(cols):
-        out = np.zeros((1, 8 * nb), dtype=dtype)
-        for c in cols:
-            out = add(out[:, None], multiples(g[c])[None]).reshape(-1, 8 * nb)
-        return out
+        """Every combination of the rows g[c], c in cols; cols[0] varies slowest."""
+        if not cols:
+            return np.zeros((1, width), dtype=dtype)
+        return add(multiples(g[cols[0]])[:, None], span(cols[1:])[None]).reshape(-1, width)
 
     def pack(nonzero):
-        return np.packbits(nonzero).reshape(-1, nb)
+        return np.packbits(nonzero).view(word).reshape(-1, nwords)
 
     def blocks(pivots, free):
         t = min(len(free), 1)
@@ -275,28 +299,35 @@ def _enumerate(code: LinearCode, r: int, fold, workers: int) -> list:
             t += 1
         head, tail = free[: len(free) - t], free[len(free) - t :]
         j = tail[0][0] if tail else r - 1
-        table = span([c for i, c in tail if i == j])
-        mask = np.zeros((1, nb), dtype=np.uint8)
+        table = span(tuple(c for i, c in tail if i == j))
+        mask = np.zeros((1, nwords), dtype=word)
         for row in range(j + 1, r):
-            sup = pack(add(span([c for i, c in tail if i == row]), g[pivots[row]]) != 0)
-            mask = (mask[:, None] | sup[None]).reshape(-1, nb)
-        table, mask = np.tile(table, (len(mask), 1)), np.repeat(mask, len(table), axis=0)
+            sup = pack(add(g[pivots[row]], span(tuple(c for i, c in tail if i == row))) != 0)
+            mask = (mask[:, None] | sup[None]).reshape(-1, nwords)
         mults = {c: multiples(g[c]) for _, c in head}
 
         def step(xs):
             rows = list(g[list(pivots[: j + 1])])
             for (i, c), x in zip(head, xs):
                 rows[i] = add(rows[i], mults[c][x])
-            packed = pack(table != rows[j]) | mask
-            for row in rows[:j]:
-                packed |= pack(row != 0)
-            return fold(np.take(_POPCOUNT, packed) @ ones)
+            packed = pack(table != rows[j])
+            if r > 1:
+                fixed = mask
+                for row in rows[:j]:
+                    fixed = fixed | pack(row != 0)
+                packed = (fixed[:, None] | packed).reshape(-1, nwords)
+            # One row per word: summing whole rows is faster than short rows.
+            counts = np.bitwise_count(packed.T, order="C")
+            return fold(counts[0] if nwords == 1 else counts.sum(axis=0, dtype=np.intp))
 
         return step, product(range(q), repeat=len(head))
 
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        run = pool.map if workers > 1 else map
-        return [out for pattern in pivot_patterns(r, code.k) for out in run(*blocks(*pattern))]
+    try:
+        with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+            run = pool.map if workers > 1 else map
+            return [out for pattern in pivot_patterns(r, code.k) for out in run(*blocks(*pattern))]
+    finally:
+        span.cache_clear()
 
 
 def _check_budget(code: LinearCode, r: int, budget: int, what: str) -> None:

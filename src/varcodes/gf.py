@@ -210,9 +210,6 @@ class GF:
             raise DivisionByZero("0 has no multiplicative inverse")
         return self.exp[(-self.log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         if a == 0:
             if n == 0:
@@ -240,10 +237,6 @@ class GF:
     def nonzero(self) -> range:
         return range(1, self.q)
 
-    def vec(self, a: int) -> tuple[int, ...]:
-        """Polynomial-basis coordinates of a over GF(p), constant term first."""
-        return tuple(self._digits(a))
-
     def to_dict(self) -> dict:
         return {"p": self.p, "e": self.e, "q": self.q, "modulus": list(self.modulus)}
 
@@ -254,6 +247,8 @@ class GF:
             raise InvalidParams(
                 f"stored modulus {d['modulus']} is not the canonical one"
             )
+        if "q" in d and d["q"] != fld.q:
+            raise InvalidParams(f"stored q = {d['q']} is not p^e = {fld.q}")
         return fld
 
     @classmethod

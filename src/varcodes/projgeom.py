@@ -156,21 +156,6 @@ class Form:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scaled(self, c: int) -> "Form":
-        F = self.field
-        return Form(
-            F, self.ambient, self.degree, {e: F.mul(c, v) for e, v in self.terms.items()}
-        )
-
-    def plus(self, other: "Form") -> "Form":
-        if (self.ambient, self.degree) != (other.ambient, other.degree):
-            raise DimensionMismatch("can only add forms of equal ambient and degree")
-        F = self.field
-        terms = dict(self.terms)
-        for e, v in other.terms.items():
-            terms[e] = F.add(terms.get(e, 0), v)
-        return Form(F, self.ambient, self.degree, terms)
-
     def partial(self, i: int) -> "Form":
         """Formal partial derivative with respect to x_i (degree drops by 1)."""
         F = self.field

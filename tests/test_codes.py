@@ -1,9 +1,14 @@
 """Code construction and exact parameter measurement."""
 
+import gc
 import random
+import tracemalloc
+from functools import reduce
+from itertools import combinations, product
 from math import comb
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -382,6 +387,86 @@ def test_engine_matches_naive_reference_uint16_odd_p():
     F = GF(257)
     gen = Matrix(F, [[1, 0, 5, 256], [0, 1, 200, 3]])
     _assert_engine_matches_reference(LinearCode(F, gen, [""] * 4, [""] * 2, {}))
+
+
+def _span_check_ghw(code, r):
+    """d_r from every r scalar classes whose messages span an r-dim space.
+
+    The support of a subcode is the union of the supports of a basis, and r
+    codewords are a basis exactly when their messages have q^r distinct
+    combinations.
+    """
+    F, n, k = code.field, code.n, code.k
+    classes = []  # (message, support), first nonzero message entry 1
+    for msg in product(F.elements(), repeat=k):
+        if next((x for x in msg if x), 0) != 1:
+            continue
+        word = [0] * n
+        for c, row in zip(msg, code.generator.rows):
+            word = [F.add(x, F.mul(c, g)) for x, g in zip(word, row)]
+        classes.append((msg, {i for i, x in enumerate(word) if x}))
+    best = n
+    for chosen in combinations(classes, r):
+        combos = {
+            tuple(reduce(F.add, (F.mul(c, m[i]) for c, (m, _) in zip(cs, chosen))) for i in range(k))
+            for cs in product(F.elements(), repeat=r)
+        }
+        if len(combos) == F.q**r:
+            best = min(best, len(set().union(*(sup for _, sup in chosen))))
+    return best
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65])
+def test_engine_matches_naive_reference_across_word_sizes(n, q):
+    # Packed supports are one uint8/16/32 word up to n = 32 and whole uint64
+    # words beyond, so n sits on both sides of every word boundary.  BLOCK = 1
+    # puts one free entry in each table and walks the rest.
+    F = GF.from_order(q)
+    k = 3 if q <= 3 else 2
+    rng = random.Random(100 * n + q)
+    while True:
+        reduced, pivots = rref(Matrix(F, [[rng.randrange(q) for _ in range(n)] for _ in range(k)]))
+        if len(pivots) == k:
+            break
+    reference = LinearCode(F, reduced, [""] * n, [""] * k, {})
+    hist = _naive_weight_histogram(reference)
+    hierarchy = [_span_check_ghw(reference, r) for r in range(1, k + 1)]
+    for block in (1, codes.BLOCK):
+        code = LinearCode(F, reduced, [""] * n, [""] * k, {})
+        with mock.patch.object(codes, "BLOCK", block):
+            assert weight_distribution(code).counts == hist
+            code._d = None
+            assert min_distance(code) == min(w for w in hist if w)
+            assert [ghw(code, r) for r in range(1, k + 1)] == hierarchy
+
+
+def test_enumeration_frees_its_tables_on_return():
+    # The span tables are cached for one enumeration only.  With the cyclic
+    # garbage collector off, nothing of them may outlive the call.
+    code = _code("projective_space", {"m": 2}, 3, F5)  # [31,10]_5
+    min_distance(code)
+    code._d = None
+    gc.disable()
+    tracemalloc.start()
+    try:
+        min_distance(code)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert current < peak // 20
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27, 243])
+def test_odd_p_vector_addition_is_gf_add(q):
+    # Oracle: GF.add on every pair, against the engine's lookup-table add.
+    F = GF.from_order(q)
+    dtype, add, _ = codes._vector_ops(F)
+    a, b = np.divmod(np.arange(q * q), q)
+    got = add(a.astype(dtype), b.astype(dtype))
+    assert got.dtype == dtype
+    assert got.tolist() == [F.add(x, y) for x in range(q) for y in range(q)]
 
 
 def _krawtchouk(j, i, n, q):

@@ -83,9 +83,10 @@ def _artifact(tmp_path, capsys, edit):
         lambda d: d["generator"].append(d["generator"][0]),
         lambda d: d.update(generator=[]),
         lambda d: d.update(field={"p": "2", "e": 2}),
+        lambda d: d["field"].update(q=16),
         lambda d: d.update(point_labels=[0] * d["n"]),
     ],
-    ids=["labels", "n-k", "no-generator", "rank", "empty", "field", "label-kind"],
+    ids=["labels", "n-k", "no-generator", "rank", "empty", "field", "field-q", "label-kind"],
 )
 def test_inconsistent_artifacts_rejected(tmp_path, capsys, edit):
     data, path = _artifact(tmp_path, capsys, edit)
