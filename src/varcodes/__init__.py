@@ -31,7 +31,6 @@ from .gf import GF, field
 from .linalg import Matrix, maximal_minors, rank, rank_and_kernel, rref
 from .projgeom import (
     Form,
-    enumerate_hyperplanes,
     enumerate_monomials,
     enumerate_projective_points,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "complete_intersection_points",
     "delpezzo_points",
     "eckardt_detect",
-    "enumerate_hyperplanes",
     "enumerate_monomials",
     "enumerate_projective_points",
     "field",

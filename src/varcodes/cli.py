@@ -29,7 +29,7 @@ from .families import (
     predict,
     require_fields,
 )
-from .gf import GF
+from .gf import GF, field
 from .varieties import VarietyDescriptor
 
 BOUND_COMMANDS = {
@@ -69,7 +69,7 @@ def _emit(payload, out_path: str | None):
 
 
 def cmd_field(args) -> int:
-    fld = GF(args.p, args.e)
+    fld = field(args.p, args.e)
     payload = fld.to_dict()
     payload["generator"] = fld.generator
     if args.tables:

@@ -2,15 +2,13 @@
 
 One exact integer enumeration measures everything: it walks the RREF pivot
 patterns of r x k message matrices, so each r-dimensional subcode is met
-once, and reports the support size of every subcode.  Codewords are
-vectors of field-element indices; addition is XOR in characteristic 2, a
-q x q table lookup for odd p up to q = 256 and digitwise mod p above, and
-scalar multiples come from the exp/log tables.  The tables of codewords are
-built once per enumeration.  Supports are packed to machine words, OR'ed
-and counted with np.bitwise_count.  The r = 1 subcodes are the scalar
-classes of nonzero codewords, so the minimum distance and the weight
-distribution are reductions over r = 1, and the r-th generalized Hamming
-weight is the minimum over rank r.
+once, and reports the support size of every subcode.  Codewords are numpy
+vectors of field elements, added and scaled by GF.array_ops.  The tables of
+codewords are built once per enumeration.  Supports are packed to machine
+words, OR'ed and counted with np.bitwise_count.  The r = 1 subcodes are
+the scalar classes of nonzero codewords, so the minimum distance and the
+weight distribution are reductions over r = 1, and the r-th generalized
+Hamming weight is the minimum over rank r.
 
 The work is split into blocks, one table lookup each, that worker threads
 may share; the reductions (min, histogram sum) do not depend on the order,
@@ -219,44 +217,6 @@ def code_from_descriptor(
 BLOCK = 1 << 20  # field elements in one table of the enumeration
 
 
-@lru_cache(maxsize=None)
-def _add_table(fld: GF) -> np.ndarray:
-    """GF.add(a, b) at index a * q + b, for q <= 256 (so the index fits in uint16)."""
-    table = np.array([fld.add(a, b) for a in fld.elements() for b in fld.elements()], np.uint8)
-    table.flags.writeable = False  # shared by every enumeration over fld
-    return table
-
-
-def _vector_ops(fld: GF):
-    """(dtype, add, multiples) on vectors of GF(p^e) element indices.
-
-    Indices are polynomial-basis digits, so addition is XOR when p = 2.  For
-    odd p it is a lookup in the q x q table of GF.add when q <= 256, and
-    digitwise mod p above that, where a q x q table would not fit in memory.
-    multiples(u) holds every scalar multiple of u, one per row, from the
-    exp/log tables.
-    """
-    p, q = fld.p, fld.q
-    dtype = np.uint8 if q <= 256 else np.uint16
-    exp, log = np.array(fld.exp, dtype=dtype), np.array(fld.log, dtype=np.int64)
-    pows = [p**i for i in range(fld.e)]
-    table = _add_table(fld) if p > 2 and q <= 256 else None
-
-    def add(a, b):
-        if p == 2:
-            return a ^ b
-        if table is not None:
-            return table[a.astype(np.uint16) * q + b]
-        a, b = a.astype(np.int32), b.astype(np.int32)
-        return sum((a // pw + b // pw) % p * pw for pw in pows).astype(dtype)
-
-    def multiples(u):
-        scaled = exp[(np.arange(q - 1)[:, None] + log[u]) % (q - 1)]
-        return np.vstack([np.zeros_like(u), np.where(u != 0, scaled, 0)])
-
-    return dtype, add, multiples
-
-
 def _enumerate(code: LinearCode, r: int, fold, workers: int) -> list:
     """fold(support sizes) over every block of the r-dimensional subcodes.
 
@@ -276,7 +236,7 @@ def _enumerate(code: LinearCode, r: int, fold, workers: int) -> list:
     counted with np.bitwise_count.
     """
     n, q = code.n, code.field.q
-    dtype, add, multiples = _vector_ops(code.field)
+    dtype, add, multiples = code.field.array_ops()
     nbytes = next(b for b in (1, 2, 4) if 8 * b >= n) if n <= 32 else 8 * -(-n // 64)
     word, width = np.dtype(f"u{min(nbytes, 8)}"), 8 * nbytes
     g = np.zeros((code.k, width), dtype=dtype)  # zero-padded to whole words
@@ -334,10 +294,6 @@ def _check_budget(code: LinearCode, r: int, budget: int, what: str) -> None:
     est = code.n * gaussian_binomial(code.k, r, code.field.q)
     if est > budget:
         raise BudgetExceeded(est, budget, what)
-
-
-def estimate_min_distance_cost(n: int, k: int, q: int) -> int:
-    return n * gaussian_binomial(k, 1, q)
 
 
 def min_distance(

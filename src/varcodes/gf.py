@@ -2,8 +2,16 @@
 
 Elements are plain ints in {0, ..., q-1}: the base-p digits of the index are
 the polynomial-basis coordinates (constant term first).  Index 0 is the
-additive identity.  Multiplication, inversion and powers go through
-generator-power (exp/log) tables; addition is digitwise mod p.
+additive identity.  This module is the only one that knows the encoding:
+the rest of the package goes through the scalar operations of GF, or through
+GF.array_ops on numpy arrays of indices.
+
+Each field builds its tables once, at construction.  Multiplication,
+inversion and powers go through generator-power (exp/log) tables.  Addition
+is digitwise mod p: XOR of the indices when p = 2.  For odd p a negation
+table and, up to q = 256, the q x q addition table are computed with numpy
+from the digit rule; above q = 256, where that table would not fit, the digit
+rule runs on each call.  Scalar and array operations read the same tables.
 
 The modulus is canonical: the monic irreducible of degree e over GF(p)
 whose coefficient vector, read as a base-p integer with the constant term
@@ -19,6 +27,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     DegreeZero,
     DivisionByZero,
@@ -31,6 +41,7 @@ from .errors import (
 )
 
 MAX_ORDER = 1 << 16
+ADD_TABLE_MAX = 256  # largest q with uint8 elements; odd q up to it get an add table
 
 
 def is_prime(n: int) -> bool:
@@ -141,6 +152,17 @@ class GF:
             sorted(self.exp[: q - 1]) == list(range(1, q)),
             "exp table is not a bijection onto the nonzero elements",
         )
+        self._dtype = np.uint8 if q <= ADD_TABLE_MAX else np.uint16
+        self._exp_array = np.array(self.exp, self._dtype)
+        self._log_array = np.array(self.log, np.int64)
+        self._table = self._sum = self._neg = None
+        if p > 2:
+            self._neg = self._digitwise(0, np.arange(q), -1).tolist()
+            if q <= ADD_TABLE_MAX:
+                a, b = np.divmod(np.arange(q * q), q)
+                self._table = self._digitwise(a, b, 1).astype(np.uint8)  # a + b at a * q + b
+                self._table.flags.writeable = False
+                self._sum = self._table.reshape(q, q).tolist()  # the same table, for scalars
 
     # -- construction helpers ------------------------------------------------
 
@@ -149,6 +171,11 @@ class GF:
 
     def _from_digits(self, digits: list[int]) -> int:
         return sum((d % self.p) * self.p**i for i, d in enumerate(digits))
+
+    def _digitwise(self, a, b, sign: int):
+        """a + sign * b by the digit rule, on ints or on signed int arrays."""
+        p = self.p
+        return sum((a // p**i + sign * (b // p**i)) % p * p**i for i in range(self.e))
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial-basis product, no tables (used to build the tables)."""
@@ -184,21 +211,19 @@ class GF:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self.e == 1:
-            return (a + b) % self.p
-        return self._from_digits(
-            [x + y for x, y in zip(self._digits(a), self._digits(b))]
-        )
+        if self._sum is None:
+            return self._digitwise(a, b, 1)
+        return self._sum[a][b]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.e == 1:
-            return (-a) % self.p
-        return self._from_digits([-x for x in self._digits(a)])
+        return a if self.p == 2 else self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.p == 2:
+            return a ^ b
+        if self._sum is None:
+            return self._digitwise(a, b, -1)
+        return self._sum[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -228,6 +253,35 @@ class GF:
     def scalar(self, n: int) -> int:
         """Image of the integer n in the prime subfield."""
         return n % self.p
+
+    # -- numpy arrays of elements ---------------------------------------------
+
+    def array_ops(self):
+        """(dtype, add, multiples) on numpy arrays of element indices.
+
+        add(a, b) adds two index arrays of that dtype elementwise, with
+        broadcasting.  multiples(u) holds every scalar multiple of the vector
+        u, one per row: 0 first, then g^i * u for i = 0, ..., q - 2.
+        """
+        q, dtype, table = self.q, self._dtype, self._table
+        exp, log = self._exp_array, self._log_array
+        if self.p == 2:
+            add = np.bitwise_xor
+        elif table is not None:
+
+            def add(a, b):
+                return table[a.astype(np.uint16) * q + b]
+
+        else:
+
+            def add(a, b):
+                return self._digitwise(a.astype(np.int32), b.astype(np.int32), 1).astype(dtype)
+
+        def multiples(u):
+            scaled = exp[(np.arange(q - 1)[:, None] + log[u]) % (q - 1)]
+            return np.vstack([np.zeros_like(u), np.where(u != 0, scaled, 0)])
+
+        return dtype, add, multiples
 
     # -- enumeration & serialization ------------------------------------------
 

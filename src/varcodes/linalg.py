@@ -45,26 +45,6 @@ class Matrix:
     def zeros(cls, field: GF, nrows: int, ncols: int) -> "Matrix":
         return cls(field, [[0] * ncols for _ in range(nrows)])
 
-    def mul_vec(self, v: list[int]) -> list[int]:
-        """Matrix-vector product M @ v over the field."""
-        F = self.field
-        if self.ncols != len(v):
-            raise DimensionMismatch(f"{self.ncols} columns vs vector of length {len(v)}")
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, b in zip(row, v):
-                acc = F.add(acc, F.mul(a, b))
-            out.append(acc)
-        return out
-
-    def to_dict(self) -> dict:
-        return {"field": self.field.to_dict(), "rows": [row[:] for row in self.rows]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Matrix":
-        return cls(GF.from_dict(d["field"]), [list(map(int, r)) for r in d["rows"]])
-
 
 def rref(M: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns; row space is preserved."""

@@ -202,8 +202,3 @@ class Form:
             int(d["degree"]),
             {tuple(map(int, e)): int(c) for e, c in d["terms"]},
         )
-
-
-def enumerate_hyperplanes(m: int, fld: GF) -> list[Form]:
-    """One canonical linear form per hyperplane of P^m, dual enumeration order."""
-    return [Form.linear(fld, coeffs) for coeffs in enumerate_projective_points(m, fld)]

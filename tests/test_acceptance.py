@@ -17,13 +17,13 @@ from varcodes import bounds
 from varcodes.codes import (
     DEFAULT_BUDGET,
     code_from_descriptor,
-    estimate_min_distance_cost,
     ghw,
     min_distance,
     weight_distribution,
 )
-from varcodes.gf import GF
+from varcodes.errors import BudgetExceeded
 from varcodes.families import applicable_bounds, lower_bound_value, predict
+from varcodes.gf import GF
 from varcodes.varieties import VarietyDescriptor, hypersurface_points
 
 GHW_SWEEP_BUDGET = 50_000_000
@@ -45,9 +45,10 @@ class Case:
 def _measure(family: str, params: dict, h: int, q: int, budget=DEFAULT_BUDGET) -> Case:
     desc = VarietyDescriptor(family, dict(params))
     code = code_from_descriptor(desc, h, GF.from_order(q))
-    d = None
-    if estimate_min_distance_cost(code.n, code.k, q) <= budget:
+    try:
         d = min_distance(code, budget)
+    except BudgetExceeded:
+        d = None
     return Case(desc, h, q, code, d)
 
 

@@ -10,7 +10,6 @@ from varcodes.gf import GF
 from varcodes.projgeom import (
     Form,
     canonicalize,
-    enumerate_hyperplanes,
     enumerate_monomials,
     enumerate_projective_points,
 )
@@ -110,10 +109,16 @@ def test_form_homogeneity(q):
         assert f.evaluate(lp) == F.mul(F.pow(lam, 3), f.evaluate(p))
 
 
+def _hyperplanes(m, F):
+    # One linear form per hyperplane of P^m: its coefficients are a point of
+    # the dual space.
+    return [Form.linear(F, coeffs) for coeffs in enumerate_projective_points(m, F)]
+
+
 def test_hyperplane_counts():
-    assert len(enumerate_hyperplanes(2, GF(2))) == 7
-    assert len(enumerate_hyperplanes(1, GF(3))) == 4
-    assert len(enumerate_hyperplanes(3, GF(2, 2))) == 85
+    assert len(_hyperplanes(2, GF(2))) == 7
+    assert len(_hyperplanes(1, GF(3))) == 4
+    assert len(_hyperplanes(3, GF(2, 2))) == 85
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -122,7 +127,7 @@ def test_every_hyperplane_has_sigma_points(q, m):
     F = GF.from_order(q)
     pts = enumerate_projective_points(m, F)
     expected = sigma(m - 1, q)
-    for hp in enumerate_hyperplanes(m, F):
+    for hp in _hyperplanes(m, F):
         assert sum(1 for p in pts if hp.evaluate(p) == 0) == expected
 
 

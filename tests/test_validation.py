@@ -13,7 +13,7 @@ import pytest
 from varcodes import cli
 from varcodes.codes import LinearCode, code_from_descriptor
 from varcodes.errors import InternalError, InvalidParams
-from varcodes.gf import GF
+from varcodes.gf import GF, field
 from varcodes.varieties import VarietyDescriptor
 
 
@@ -124,6 +124,7 @@ def test_broken_invariant_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(GF, "_find_generator", lambda self: 1)
     with pytest.raises(InternalError):
         GF(5)
+    field.cache_clear()  # the CLI gets its fields from the cache
     rc, _, err = run(capsys, "field", "5")
     assert rc == 4 and "internal invariant failure" in err
 
