@@ -36,7 +36,7 @@ from .errors import (
 from .families import build_point_set, check_descriptor, require_fields
 from .gf import GF
 from .linalg import Matrix, pivot_patterns, rref
-from .projgeom import Form, enumerate_monomials, monomial_name
+from .projgeom import Form, enumerate_monomials, evaluate_forms, monomial_name
 from .varieties import PointSet, VarietyDescriptor, delpezzo_points
 
 DEFAULT_BUDGET = 2**31
@@ -134,6 +134,8 @@ class LinearCode:
                 f"artifact says k={d['k']}, n={d['n']}, but has a {gen.nrows} x "
                 f"{gen.ncols} generator and {len(d['point_labels'])} point labels"
             )
+        if gen.ncols and not (min(map(min, gen.rows)) >= 0 and max(map(max, gen.rows)) < fld.q):
+            raise InvalidParams(f"artifact generator has an entry outside GF({fld.q})")
         _, pivots = rref(gen)
         if not 0 < len(pivots) == gen.nrows:
             raise InvalidParams("artifact generator is not full rank")
@@ -178,8 +180,7 @@ def build_evaluation_code(
         basis_labels = [monomial_name(e) for e in monos]
     if basis_labels is None:
         basis_labels = [str(f) for f in basis]
-    raw = Matrix(fld, [[f.evaluate(p) for p in points.points] for f in basis])
-    reduced, pivots = rref(raw)
+    reduced, pivots = rref(Matrix(fld, evaluate_forms(basis, points.points)))
     k = len(pivots)
     if k == 0:
         raise InvalidParams("every basis form vanishes on the whole point set")
@@ -236,7 +237,8 @@ def _enumerate(code: LinearCode, r: int, fold, workers: int) -> list:
     counted with np.bitwise_count.
     """
     n, q = code.n, code.field.q
-    dtype, add, multiples = code.field.array_ops()
+    ops = code.field.array_ops()
+    dtype, add, multiples = ops.dtype, ops.add, ops.multiples
     nbytes = next(b for b in (1, 2, 4) if 8 * b >= n) if n <= 32 else 8 * -(-n // 64)
     word, width = np.dtype(f"u{min(nbytes, 8)}"), 8 * nbytes
     g = np.zeros((code.k, width), dtype=dtype)  # zero-padded to whole words

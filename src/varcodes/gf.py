@@ -4,14 +4,17 @@ Elements are plain ints in {0, ..., q-1}: the base-p digits of the index are
 the polynomial-basis coordinates (constant term first).  Index 0 is the
 additive identity.  This module is the only one that knows the encoding:
 the rest of the package goes through the scalar operations of GF, or through
-GF.array_ops on numpy arrays of indices.
+GF.array_ops on numpy arrays of indices: elementwise add, neg, mul and pow,
+and the scalar multiples of a vector.
 
 Each field builds its tables once, at construction.  Multiplication,
 inversion and powers go through generator-power (exp/log) tables.  Addition
 is digitwise mod p: XOR of the indices when p = 2.  For odd p a negation
 table and, up to q = 256, the q x q addition table are computed with numpy
 from the digit rule; above q = 256, where that table would not fit, the digit
-rule runs on each call.  Scalar and array operations read the same tables.
+rule runs on each call.  Scalar and array operations read the same tables;
+the array mul and pow are exp of a sum or multiple of logs, masked to 0 where
+a factor is 0.
 
 The modulus is canonical: the monic irreducible of degree e over GF(p)
 whose coefficient vector, read as a base-p integer with the constant term
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -256,32 +260,45 @@ class GF:
 
     # -- numpy arrays of elements ---------------------------------------------
 
-    def array_ops(self):
-        """(dtype, add, multiples) on numpy arrays of element indices.
+    def array_ops(self) -> SimpleNamespace:
+        """Elementwise operations on numpy arrays of element indices.
 
-        add(a, b) adds two index arrays of that dtype elementwise, with
-        broadcasting.  multiples(u) holds every scalar multiple of the vector
-        u, one per row: 0 first, then g^i * u for i = 0, ..., q - 2.
+        The namespace holds dtype, the index dtype, and these operations,
+        which broadcast and return arrays of that dtype:
+          add(a, b), neg(a) and mul(a, b);
+          pow(a, n): a^n for integers n >= 0 (an int or an int array), with
+            0^0 = 1 and 0^n = 0 for n > 0;
+          multiples(u): every scalar multiple of the vector u, one per row:
+            0 first, then g^i * u for i = 0, ..., q - 2.
         """
         q, dtype, table = self.q, self._dtype, self._table
         exp, log = self._exp_array, self._log_array
         if self.p == 2:
-            add = np.bitwise_xor
-        elif table is not None:
-
-            def add(a, b):
-                return table[a.astype(np.uint16) * q + b]
-
+            add, neg = np.bitwise_xor, np.asarray
         else:
+            negate = np.array(self._neg, dtype)
+            neg = negate.__getitem__
+            if table is not None:
 
-            def add(a, b):
-                return self._digitwise(a.astype(np.int32), b.astype(np.int32), 1).astype(dtype)
+                def add(a, b):
+                    return table[a.astype(np.uint16) * q + b]
+
+            else:
+
+                def add(a, b):
+                    return self._digitwise(a.astype(np.int32), b.astype(np.int32), 1).astype(dtype)
+
+        def mul(a, b):
+            return np.where(np.logical_and(a, b), exp[(log[a] + log[b]) % (q - 1)], 0)
+
+        def pow(a, n):
+            return np.where(a != 0, exp[log[a] * n % (q - 1)], np.equal(n, 0))
 
         def multiples(u):
             scaled = exp[(np.arange(q - 1)[:, None] + log[u]) % (q - 1)]
             return np.vstack([np.zeros_like(u), np.where(u != 0, scaled, 0)])
 
-        return dtype, add, multiples
+        return SimpleNamespace(dtype=dtype, add=add, neg=neg, mul=mul, pow=pow, multiples=multiples)
 
     # -- enumeration & serialization ------------------------------------------
 

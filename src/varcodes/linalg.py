@@ -1,14 +1,18 @@
 """Dense exact linear algebra over GF(q).
 
-Matrices hold canonical element indices in row-major lists; all algorithms
-are plain Gaussian elimination, which is ample at the scales this package
-works at (tens of rows, at most a few thousand columns).
+A Matrix holds canonical element indices in row-major lists.  The bulk
+routines run on numpy index arrays through GF.array_ops: rref eliminates one
+pivot at a time with a broadcast update of every other row, and
+maximal_minors computes the Pluecker coordinates of a whole stack of l x m
+matrices at once.  det stays a scalar elimination for single small matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .errors import DimensionMismatch
 from .gf import GF
@@ -23,11 +27,6 @@ class Matrix:
         widths = {len(r) for r in self.rows}
         if len(widths) > 1:
             raise DimensionMismatch("ragged rows")
-        q = self.field.q
-        for row in self.rows:
-            for x in row:
-                if not 0 <= x < q:
-                    raise DimensionMismatch(f"{x} is not a GF({q}) element index")
 
     @property
     def nrows(self) -> int:
@@ -35,7 +34,7 @@ class Matrix:
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.rows[0]) if len(self.rows) else 0
 
     @classmethod
     def identity(cls, field: GF, n: int) -> "Matrix":
@@ -47,29 +46,33 @@ class Matrix:
 
 
 def rref(M: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns; row space is preserved."""
+    """Reduced row echelon form and pivot columns; row space is preserved.
+
+    Rows may be given as lists or as a 2-D index array; the result has lists.
+    """
     F = M.field
-    R = [row[:] for row in M.rows]
-    nrows, ncols = len(R), M.ncols
+    ops = F.array_ops()
+    R = np.array(M.rows, ops.dtype).reshape(M.nrows, M.ncols)
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if R[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        R[r], R[pivot_row] = R[pivot_row], R[r]
-        inv = F.inv(R[r][col])
-        if inv != 1:
-            R[r] = [F.mul(inv, x) for x in R[r]]
-        for i in range(nrows):
-            if i != r and R[i][col] != 0:
-                c = R[i][col]
-                R[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(R[i], R[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
+    col = 0
+    for r in range(M.nrows):
+        remaining = R[r:, col:].any(axis=0).nonzero()[0]
+        if not remaining.size:
             break
-    return Matrix(F, R), pivots
+        col += int(remaining[0])
+        i = r + int(R[r:, col].nonzero()[0][0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        if R[r, col] != 1:
+            R[r, col:] = ops.mul(R[r, col:], F.inv(int(R[r, col])))
+        others = R[:, col].nonzero()[0]
+        others = others[others != r]
+        if others.size:
+            scaled = ops.mul(R[others, col, None], R[r, col:])
+            R[others, col:] = ops.add(R[others, col:], ops.neg(scaled))
+        pivots.append(col)
+        col += 1
+    return Matrix(F, R.tolist()), pivots
 
 
 def pivot_patterns(r: int, k: int):
@@ -130,18 +133,30 @@ def det(M: Matrix) -> int:
     return d
 
 
-def maximal_minors(M: Matrix) -> list[int]:
-    """All C(ncols, nrows) maximal minors, column subsets in lex order.
+def maximal_minors(F: GF, stack: np.ndarray) -> np.ndarray:
+    """All C(m, l) maximal minors of each matrix in an (N, l, m) index stack.
 
-    For an l x m matrix of row vectors spanning a subspace this is its
-    homogeneous coordinate vector in P^(C(m,l) - 1).
+    Column subsets come in lex order, so for row vectors spanning a subspace
+    row t is its homogeneous coordinate vector in P^(C(m,l) - 1).  Laplace
+    expansion along rows, bottom row first: the minors on the last j rows
+    come from those on the last j - 1, so each smaller minor is computed once.
     """
-    F = M.field
-    l, m = M.nrows, M.ncols
+    N, l, m = stack.shape
     if l > m:
         raise DimensionMismatch(f"need nrows <= ncols, got {l} x {m}")
-    out = []
-    for cols in combinations(range(m), l):
-        sub = Matrix(F, [[row[c] for c in cols] for row in M.rows])
-        out.append(det(sub))
-    return out
+    ops = F.array_ops()
+    minors = np.ones((N, 1), ops.dtype)
+    index = {(): 0}
+    for j in range(1, l + 1):
+        row = stack[:, l - j]
+        subsets = list(combinations(range(m), j))
+        acc = np.zeros((N, len(subsets)), ops.dtype)
+        for t in range(j):
+            # Expansion term t: entry (top row, S[t]) times the minor on S - S[t].
+            cols = [S[t] for S in subsets]
+            rest = [index[S[:t] + S[t + 1 :]] for S in subsets]
+            term = ops.mul(row[:, cols], minors[:, rest])
+            acc = ops.add(acc, term if t % 2 == 0 else ops.neg(term))
+        minors = acc
+        index = {S: i for i, S in enumerate(subsets)}
+    return minors

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
+import numpy as np
+
 from .errors import DimensionMismatch, InvalidParams
 from .gf import GF
 
@@ -133,22 +135,8 @@ class Form:
         return cls(fld, len(monomials[0]) - 1, degree, terms)
 
     def evaluate(self, point: tuple[int, ...]) -> int:
-        F = self.field
-        if len(point) != self.ambient + 1:
-            raise DimensionMismatch(
-                f"point has {len(point)} coordinates, form expects {self.ambient + 1}"
-            )
-        total = 0
-        for expo, c in self.terms.items():
-            v = c
-            for x, e in zip(point, expo):
-                if e:
-                    if x == 0:
-                        v = 0
-                        break
-                    v = F.mul(v, F.pow(x, e))
-            total = F.add(total, v)
-        return total
+        """The one-point case of evaluate_forms."""
+        return int(evaluate_forms([self], [point])[0, 0])
 
     def coefficient(self, expo: Exponents) -> int:
         return self.terms.get(tuple(expo), 0)
@@ -202,3 +190,28 @@ class Form:
             int(d["degree"]),
             {tuple(map(int, e)): int(c) for e, c in d["terms"]},
         )
+
+
+def evaluate_forms(forms: list[Form], points) -> np.ndarray:
+    """Values of every form at every point, as a (forms, points) index array.
+
+    points is a sequence of coordinate tuples or an (N, ambient + 1) index
+    array.  A monomial's value is the product of pow(x_i, e_i) over its
+    variables, which GF.array_ops computes as exp(sum e_i log x_i), masked to
+    0 where some x_i = 0 with e_i > 0.
+    """
+    ops = forms[0].field.array_ops()
+    x = np.asarray(points, ops.dtype)
+    out = np.zeros((len(forms), len(x)), ops.dtype)
+    for row, f in zip(out, forms):
+        if x.shape[1] != f.ambient + 1:
+            raise DimensionMismatch(
+                f"point has {x.shape[1]} coordinates, form expects {f.ambient + 1}"
+            )
+        for expo, c in f.terms.items():
+            value = np.full(len(x), c, ops.dtype)
+            for xi, e in zip(x.T, expo):
+                if e:
+                    value = ops.mul(value, ops.pow(xi, e))
+            row[:] = ops.add(row, value)
+    return out

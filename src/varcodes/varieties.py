@@ -5,6 +5,11 @@ enumeration order of projgeom, subspaces in pivot-pattern order, blown-up
 directions in P^1 order.  A PointSet holds the ordered evaluation columns
 (projective coordinate vectors) together with per-point origin labels.
 
+Grassmann points are Pluecker coordinates, computed per pivot pattern in one
+batch.  Schubert points are the Pluecker section p_S = 0 for every S not
+below alpha (Ghorpade-Tsfasman, "Schubert varieties, linear codes and
+enumerative combinatorics", Finite Fields Appl. 2005).
+
 Arguments are trusted: descriptors are validated once, against the family
 table (`families.check_descriptor`), before any construction here runs.
 """
@@ -14,8 +19,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cache
-from itertools import combinations_with_replacement, product
-from typing import Any, Iterator
+from itertools import combinations, combinations_with_replacement, compress, product
+from typing import Any
+
+import numpy as np
 
 from . import bounds
 from .errors import (
@@ -28,13 +35,14 @@ from .errors import (
     invariant,
 )
 from .gf import GF
-from .linalg import Matrix, det, maximal_minors, pivot_patterns, rank, rank_and_kernel
+from .linalg import Matrix, det, maximal_minors, pivot_patterns, rank_and_kernel
 from .projgeom import (
     Form,
     Point,
     canonicalize,
     enumerate_monomials,
     enumerate_projective_points,
+    evaluate_forms,
 )
 
 
@@ -192,9 +200,7 @@ def classify_quadric(f: Form) -> tuple[int, int]:
     fld = f.field
     m = f.ambient
     rho = _quadric_rank(f)
-    measured = sum(
-        1 for p in enumerate_projective_points(m, fld) if f.evaluate(p) == 0
-    )
+    measured = int((evaluate_forms([f], enumerate_projective_points(m, fld)) == 0).sum())
     candidates = [1] if rho % 2 == 1 else [0, 2]
     matches = [
         w
@@ -211,9 +217,8 @@ def classify_quadric(f: Form) -> tuple[int, int]:
 def hypersurface_points(f: Form) -> PointSet:
     """All canonical points of V(f) in enumeration order."""
     fld = f.field
-    pts = [
-        p for p in enumerate_projective_points(f.ambient, fld) if f.evaluate(p) == 0
-    ]
+    pts = enumerate_projective_points(f.ambient, fld)
+    pts = list(compress(pts, evaluate_forms([f], pts)[0] == 0))
     return PointSet(fld, f.ambient, pts, [point_label(p) for p in pts])
 
 
@@ -229,52 +234,47 @@ def hermitian_form(m: int, r: int, fld: GF) -> Form:
 # -- Grassmannians, Schubert varieties, flags ------------------------------------
 
 
-def subspace_representatives(l: int, m: int, fld: GF) -> Iterator[Matrix]:
-    """RREF bases of all l-dimensional subspaces of F_q^m, by pivot pattern."""
-    for pivots, free in pivot_patterns(l, m):
-        for values in product(range(fld.q), repeat=len(free)):
-            rows = [[0] * m for _ in range(l)]
-            for i, pc in enumerate(pivots):
-                rows[i][pc] = 1
-            for (i, c), v in zip(free, values):
-                rows[i][c] = v
-            yield Matrix(fld, rows)
-
-
 def grassmann_points(l: int, m: int, fld: GF) -> PointSet:
-    """One canonical maximal-minor coordinate vector per l-subspace of F_q^m."""
-    pts = []
-    labels = []
-    for rep in subspace_representatives(l, m, fld):
-        vec = tuple(maximal_minors(rep))
-        invariant(next(x for x in vec if x) == 1, "pivot minor should lead")
-        pts.append(vec)
-        labels.append("span" + str(rep.rows))
+    """One canonical maximal-minor coordinate vector per l-subspace of F_q^m.
+
+    Subspaces come by pivot pattern, each as its RREF basis; the minors of
+    all bases of one pattern are computed in one batch.
+    """
+    dtype = fld.array_ops().dtype
+    coords, labels = [], []
+    for pivots, free in pivot_patterns(l, m):
+        reps = np.zeros((fld.q ** len(free), l, m), dtype)
+        reps[:, range(l), pivots] = 1
+        if free:
+            rows, cols = zip(*free)
+            reps[:, rows, cols] = np.indices((fld.q,) * len(free)).reshape(len(free), -1).T
+        coords.append(maximal_minors(fld, reps))
+        labels += ["span" + str(rep) for rep in reps.tolist()]
+    coords = np.concatenate(coords)
+    lead = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
+    invariant(bool((lead == 1).all()), "pivot minor should lead")
     expected = bounds.gaussian_binomial(m, l, fld.q)
-    invariant(len(pts) == expected, f"{len(pts)} subspaces, expected {expected}")
-    return PointSet(fld, len(pts[0]) - 1, pts, labels)
+    invariant(len(coords) == expected, f"{len(coords)} subspaces, expected {expected}")
+    return PointSet(fld, coords.shape[1] - 1, list(map(tuple, coords.tolist())), labels)
 
 
 def schubert_points(l: int, m: int, alpha: list[int], fld: GF) -> PointSet:
-    """Subset of the Grassmannian satisfying dim(W meet A_alpha_i) >= i."""
+    """The Schubert variety of alpha: dim(W meet A_alpha_i) >= i for all i.
 
-    def satisfies(rep: Matrix) -> bool:
-        for i, a in enumerate(alpha, start=1):
-            flag_rows = [
-                [1 if c == j else 0 for c in range(m)] for j in range(a)
-            ]
-            joint = rank(Matrix(fld, rep.rows + flag_rows))
-            if l + a - joint < i:
-                return False
-        return True
-
-    pts = []
-    labels = []
-    for rep in subspace_representatives(l, m, fld):
-        if satisfies(rep):
-            pts.append(tuple(maximal_minors(rep)))
-            labels.append("span" + str(rep.rows))
-    return PointSet(fld, bounds.binomial(m, l) - 1, pts, labels)
+    It is the linear section of the Grassmannian by p_S = 0 for every column
+    subset S = (s_1 < ... < s_l) with some s_i > alpha_i (1-based), so its
+    points are the Grassmann points whose other coordinates all vanish.
+    """
+    grass = grassmann_points(l, m, fld)
+    outside = [
+        j
+        for j, S in enumerate(combinations(range(m), l))
+        if any(s >= a for s, a in zip(S, alpha))  # 0-based s, so s + 1 > a
+    ]
+    keep = ~np.array(grass.points)[:, outside].any(axis=1)
+    return PointSet(
+        fld, grass.ambient, list(compress(grass.points, keep)), list(compress(grass.labels, keep))
+    )
 
 
 def flag_points(m: int, fld: GF) -> PointSet:
@@ -309,41 +309,46 @@ def _general_position_select(l: int, fld: GF) -> list[Point]:
 
     Depth-first over the enumeration order (equals the plain greedy scan
     whenever that scan succeeds): no three collinear, no six on a conic.
-    Both are incidences on point indices.  The line through points a and b
-    is b plus the q points a + t*b; candidates on a line through two chosen
-    points are skipped.  Five points, no three collinear, lie on one conic,
-    and a sixth lies on it iff the six points' degree-2 monomials are dependent.
+    Both are incidences on point indices; point sets are int bitmasks.  The
+    line through points a and b is b plus the q points a + t*b; candidates on
+    a line through two chosen points are skipped.  Five points, no three
+    collinear, lie on one conic, and a sixth lies on it iff the six points'
+    degree-2 monomials are dependent.
     """
     points = enumerate_projective_points(2, fld)
     index = {p: i for i, p in enumerate(points)}
     veronese = [[fld.mul(a, b) for a, b in combinations_with_replacement(p, 2)] for p in points]
 
     @cache
-    def line_through(i: int, j: int) -> frozenset[int]:
+    def line_through(i: int, j: int) -> int:
         a, b = points[i], points[j]
-        span = (
-            canonicalize(fld, tuple(fld.add(x, fld.mul(t, y)) for x, y in zip(a, b)))
-            for t in fld.elements()
-        )
-        return frozenset((j, *(index[p] for p in span)))
+        mask = 1 << j
+        for t in fld.elements():
+            p = canonicalize(fld, tuple(fld.add(x, fld.mul(t, y)) for x, y in zip(a, b)))
+            mask |= 1 << index[p]
+        return mask
 
     chosen: list[int] = []
 
-    def search(start: int, blocked: frozenset[int]) -> bool:
+    def search(start: int, blocked: int) -> bool:
         if len(chosen) == l:
             return True
-        for c in range(start, len(points)):
-            if c in blocked:
-                continue
+        candidates = ~blocked >> start << start & (1 << len(points)) - 1
+        while candidates:
+            c = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
             if len(chosen) == 5 and det(Matrix(fld, [veronese[i] for i in chosen + [c]])) == 0:
                 continue
             chosen.append(c)
-            if search(c + 1, blocked.union(*(line_through(i, c) for i in chosen[:-1]))):
+            now_blocked = blocked
+            for i in chosen[:-1]:
+                now_blocked |= line_through(i, c)
+            if search(c + 1, now_blocked):
                 return True
             chosen.pop()
         return False
 
-    if not search(0, frozenset()):
+    if not search(0, 0):
         raise GeneralPositionFailure(
             f"no {l} points of P^2(F_{fld.q}) in general position found"
         )
@@ -363,31 +368,27 @@ def delpezzo_points(l: int, fld: GF) -> tuple[PointSet, list[Form], list[Point]]
     cubics = enumerate_monomials(2, 3)
     basis = [Form.monomial(fld, e) for e in cubics]
     if l:
-        rows = [[f.evaluate(p) for f in basis] for p in base]
-        r, ker = rank_and_kernel(Matrix(fld, rows))
+        r, ker = rank_and_kernel(Matrix(fld, evaluate_forms(basis, base).T.tolist()))
         invariant(r == l, "base points failed to impose independent conditions")
         basis = [Form.from_coeff_vector(fld, cubics, list(v)) for v in ker.rows]
 
-    pts: list[tuple[int, ...]] = []
-    labels: list[str] = []
     base_set = set(base)
-    for p in enumerate_projective_points(2, fld):
-        if p in base_set:
-            continue
-        pts.append(tuple(f.evaluate(p) for f in basis))
-        labels.append(point_label(p))
+    ordinary = [p for p in enumerate_projective_points(2, fld) if p not in base_set]
+    pts = list(map(tuple, evaluate_forms(basis, ordinary).T.tolist()))
+    labels = [point_label(p) for p in ordinary]
     directions = enumerate_projective_points(1, fld)
     for bp in base:
         pivot = next(i for i, x in enumerate(bp) if x != 0)  # leading 1
-        a, bcoord = [i for i in range(3) if i != pivot]
-        grads = [(f.partial(a).evaluate(bp), f.partial(bcoord).evaluate(bp)) for f in basis]
-        for u, v in directions:
-            col = tuple(
-                fld.add(fld.mul(u, ga), fld.mul(v, gb)) for ga, gb in grads
-            )
-            invariant(any(col), "anticanonical system failed to separate a direction")
-            pts.append(col)
-            labels.append(f"E{point_label(bp)} dir {point_label((u, v))}")
+        a, b = [i for i in range(3) if i != pivot]
+        partials = [f.partial(i) for f in basis for i in (a, b)]
+        grads = evaluate_forms(partials, [bp]).reshape(-1, 2).tolist()
+        # Direction (u, v) at bp gives the column of u * df/dx_a + v * df/dx_b.
+        cols = evaluate_forms([Form.linear(fld, tuple(g)) for g in grads], directions).T
+        invariant(
+            bool(cols.any(axis=1).all()), "anticanonical system failed to separate a direction"
+        )
+        pts += map(tuple, cols.tolist())
+        labels += [f"E{point_label(bp)} dir {point_label(d)}" for d in directions]
     expected = fld.q * fld.q + fld.q + 1 + l * fld.q
     invariant(len(pts) == expected, f"{len(pts)} columns, expected {expected}")
     return PointSet(fld, len(basis) - 1, pts, labels), basis, base
@@ -423,11 +424,8 @@ def complete_intersection_points(forms: list[Form]) -> PointSet:
     """Common zero locus of m hypersurfaces in P^m, with a degree-product check."""
     fld = forms[0].field
     m = forms[0].ambient
-    pts = [
-        p
-        for p in enumerate_projective_points(m, fld)
-        if all(f.evaluate(p) == 0 for f in forms)
-    ]
+    pts = enumerate_projective_points(m, fld)
+    pts = list(compress(pts, ~evaluate_forms(forms, pts).any(axis=0)))
     expected = 1
     for f in forms:
         expected *= f.degree

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from varcodes.errors import (
@@ -145,6 +146,29 @@ def test_addition_is_digitwise_mod_p(q):
     F = GF.from_order(q)
     for a, b in _pairs(q):
         assert (F.add(a, b), F.sub(a, b), F.neg(a)) == _digit_oracle(F, a, b)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 243, 256, 729])
+def test_array_mul_neg_pow_match_polynomial_arithmetic(q):
+    # Oracles that never read the exp/log or negation tables: the
+    # table-free polynomial product _mul_raw (every pair; a fixed sample for
+    # q = 729), _pow_raw (square and multiply by _mul_raw) for powers, and negation digit by digit.
+    F = GF.from_order(q)
+    ops = F.array_ops()
+    if q <= 256:
+        a, b = np.divmod(np.arange(q * q), q)
+    else:
+        a, b = np.random.default_rng(q).integers(q, size=(2, 5000))
+    a, b = a.astype(ops.dtype), b.astype(ops.dtype)
+    got = ops.mul(a, b)
+    assert got.dtype == ops.dtype
+    assert got.tolist() == [F._mul_raw(s, t) for s, t in zip(a.tolist(), b.tolist())]
+    x = b[:q]  # every element for q <= 256
+    assert ops.neg(x).dtype == ops.dtype
+    assert ops.neg(x).tolist() == [F._from_digits([-d for d in F._digits(s)]) for s in x.tolist()]
+    for n in (0, 1, 2, q - 1, q + 1):
+        assert ops.pow(x, n).dtype == ops.dtype
+        assert ops.pow(x, n).tolist() == [F._pow_raw(s, n) for s in x.tolist()], n
 
 
 def test_conjugate_gf4():

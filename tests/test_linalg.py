@@ -1,7 +1,9 @@
-"""Exact linear algebra: RREF, kernels, maximal minors."""
+"""Exact linear algebra: RREF, kernels, maximal minors, against scalar references."""
 
 import random
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from varcodes.gf import GF
@@ -72,9 +74,13 @@ def test_rank_and_kernel_identity_and_zero():
     assert ker.rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+def _minors(M):
+    return maximal_minors(M.field, np.array([M.rows], M.field.array_ops().dtype))[0].tolist()
+
+
 def test_maximal_minors_identity():
     F = GF(2)
-    assert maximal_minors(Matrix.identity(F, 2)) == [1]
+    assert _minors(Matrix.identity(F, 2)) == [1]
 
 
 def test_maximal_minors_standard_plane():
@@ -82,13 +88,13 @@ def test_maximal_minors_standard_plane():
     # determinant expansion of each 2x2 block gives (1,0,0,0,0,0).
     F = GF(2)
     M = Matrix(F, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert maximal_minors(M) == [1, 0, 0, 0, 0, 0]
+    assert _minors(M) == [1, 0, 0, 0, 0, 0]
 
 
 def test_maximal_minors_rank_deficient():
     F = GF(3)
     M = Matrix(F, [[1, 2, 0], [2, 1, 0]])  # second row = 2 * first
-    assert maximal_minors(M) == [0, 0, 0]
+    assert _minors(M) == [0, 0, 0]
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -112,7 +118,7 @@ def test_minors_scale_by_det_of_left_factor(q):
                 for i in range(2)
             ],
         )
-        assert maximal_minors(AM) == [F.mul(dA, m) for m in maximal_minors(M)]
+        assert _minors(AM) == [F.mul(dA, m) for m in _minors(M)]
 
 
 def test_det_hand_values():
@@ -132,3 +138,87 @@ def test_flag_segre_evaluation_matrix_rank():
     M = Matrix(F, [[p[i] for p in flags.points] for i in range(9)])
     assert M.ncols == 21
     assert rank(M) == 8
+
+
+def _scalar_rref(F, rows):
+    # Reference: row-by-row Gauss-Jordan elimination on lists, through the
+    # scalar GF operations (the elimination rref used before it ran on arrays).
+    R = [row[:] for row in rows]
+    nrows, ncols = len(R), len(R[0]) if R else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if R[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        R[r], R[pivot_row] = R[pivot_row], R[r]
+        inv = F.inv(R[r][col])
+        R[r] = [F.mul(inv, x) for x in R[r]]
+        for i in range(nrows):
+            if i != r and R[i][col] != 0:
+                c = R[i][col]
+                R[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(R[i], R[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return R, pivots
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 27, 729])
+def test_rref_matches_scalar_elimination(q):
+    F = GF.from_order(q)
+    rng = random.Random(700 + q)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(0, 7), rng.randrange(0, 9)
+        rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+        for i in rng.sample(range(nrows), rng.randrange(nrows + 1) // 2):
+            rows[i] = [0] * ncols  # zero rows
+        for j in rng.sample(range(ncols), rng.randrange(ncols + 1) // 2):
+            for row in rows:
+                row[j] = 0  # zero columns
+        if nrows > 1 and rng.random() < 0.5:
+            rows[-1] = rows[0][:]  # a repeated row
+        R, pivots = rref(Matrix(F, rows))
+        assert (R.rows, pivots) == _scalar_rref(F, rows)
+        assert all(type(x) is int for row in R.rows for x in row)
+
+
+def _leibniz_det(F, A):
+    # Sum over permutations with the table-free product _mul_raw; signs and
+    # sums digit by digit mod p.  Shares no code with GF.array_ops.
+    def add(a, b, sign=1):
+        return F._from_digits([x + sign * y for x, y in zip(F._digits(a), F._digits(b))])
+
+    total = 0
+    for perm in permutations(range(len(A))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(A)), 2))
+        term = 1
+        for i, c in enumerate(perm):
+            term = F._mul_raw(term, A[i][c])
+        total = add(total, term, -1 if inversions % 2 else 1)
+    return total
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_batched_minors_match_leibniz(l, q):
+    F = GF.from_order(q)
+    rng = random.Random(10 * l + q)
+    m = l + 2
+    stack = []
+    for t in range(12):
+        A = [[rng.randrange(q) for _ in range(m)] for _ in range(l)]
+        if t % 3 == 1 and l > 1:
+            c = rng.randrange(1, q)
+            A[-1] = [F.mul(c, x) for x in A[0]]  # rank-deficient: proportional rows
+        elif t % 3 == 2:
+            A[rng.randrange(l)] = [0] * m  # rank-deficient: a zero row
+        stack.append(A)
+    got = maximal_minors(F, np.array(stack, F.array_ops().dtype))
+    assert got.shape == (len(stack), len(list(combinations(range(m), l))))
+    expected = [
+        [_leibniz_det(F, [[row[c] for c in S] for row in A]) for S in combinations(range(m), l)]
+        for A in stack
+    ]
+    assert got.tolist() == expected

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varcodes.bounds import sigma
 from varcodes.errors import DimensionMismatch
@@ -12,6 +13,7 @@ from varcodes.projgeom import (
     canonicalize,
     enumerate_monomials,
     enumerate_projective_points,
+    evaluate_forms,
 )
 
 
@@ -109,6 +111,39 @@ def test_form_homogeneity(q):
         assert f.evaluate(lp) == F.mul(F.pow(lam, 3), f.evaluate(p))
 
 
+def _naive_value(F, f, point):
+    # Sum of c * prod x_i^e_i by repeated table-free _mul_raw, added digit
+    # by digit mod p.
+    total = 0
+    for expo, c in f.terms.items():
+        v = c
+        for x, e in zip(point, expo):
+            for _ in range(e):
+                v = F._mul_raw(v, x)
+        total = F._from_digits([a + b for a, b in zip(F._digits(total), F._digits(v))])
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluate_forms_matches_naive_products(data):
+    F = GF.from_order(data.draw(st.sampled_from([2, 3, 4, 5, 8, 9, 25])))
+    m = data.draw(st.integers(1, 3))
+    degree = data.draw(st.integers(0, 4))
+    monos = enumerate_monomials(m, degree)
+    element = st.integers(0, F.q - 1)
+    forms = [
+        Form(F, m, degree, data.draw(st.dictionaries(st.sampled_from(monos), element, max_size=5)))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    # Any vectors, the zero vector and coordinates equal to 0 included.
+    points = data.draw(st.lists(st.tuples(*[element] * (m + 1)), min_size=1, max_size=8))
+    got = evaluate_forms(forms, points)
+    assert got.shape == (len(forms), len(points))
+    assert got.tolist() == [[_naive_value(F, f, p) for p in points] for f in forms]
+    assert [forms[0].evaluate(p) for p in points] == got[0].tolist()
+
+
 def _hyperplanes(m, F):
     # One linear form per hyperplane of P^m: its coefficients are a point of
     # the dual space.
@@ -127,8 +162,8 @@ def test_every_hyperplane_has_sigma_points(q, m):
     F = GF.from_order(q)
     pts = enumerate_projective_points(m, F)
     expected = sigma(m - 1, q)
-    for hp in _hyperplanes(m, F):
-        assert sum(1 for p in pts if hp.evaluate(p) == 0) == expected
+    zeros = (evaluate_forms(_hyperplanes(m, F), pts) == 0).sum(axis=1)
+    assert zeros.tolist() == [expected] * len(zeros)
 
 
 def test_form_partial_derivative():

@@ -85,8 +85,12 @@ def _artifact(tmp_path, capsys, edit):
         lambda d: d.update(field={"p": "2", "e": 2}),
         lambda d: d["field"].update(q=16),
         lambda d: d.update(point_labels=[0] * d["n"]),
+        lambda d: d["generator"][-1].__setitem__(-1, 4),  # GF(4) has indices 0..3
     ],
-    ids=["labels", "n-k", "no-generator", "rank", "empty", "field", "field-q", "label-kind"],
+    ids=[
+        "labels", "n-k", "no-generator", "rank", "empty", "field", "field-q", "label-kind",
+        "generator-entry",
+    ],
 )
 def test_inconsistent_artifacts_rejected(tmp_path, capsys, edit):
     data, path = _artifact(tmp_path, capsys, edit)

@@ -1,6 +1,7 @@
 """Point-set constructions: counts, invariants, canonical-form choices."""
 
-from itertools import combinations, product
+import json
+from itertools import combinations, combinations_with_replacement, compress, product
 
 import pytest
 
@@ -237,9 +238,9 @@ def test_grassmann_against_independent_span_enumeration():
 
 
 def _reps(l, m, fld):
-    from varcodes.varieties import subspace_representatives
-
-    return [tuple(tuple(r) for r in rep.rows) for rep in subspace_representatives(l, m, fld)]
+    # The RREF basis of each subspace, read back from the point labels.
+    labels = grassmann_points(l, m, fld).labels
+    return [tuple(map(tuple, json.loads(label.removeprefix("span")))) for label in labels]
 
 
 def test_schubert_full_alpha_is_whole_grassmannian():
@@ -261,6 +262,30 @@ def test_schubert_rank_condition_filter_oracle():
     )
     assert oracle == 19
     assert len(schubert_points(2, 4, [2, 4], F2)) == oracle
+
+
+def _meet_dims(rep, fld):
+    # dim(W meet A_a) = l + a - rank(W + A_a) for A_a = span(e_1..e_a), a = 0..m.
+    l, m = len(rep), len(rep[0])
+    flag = [[int(c == j) for c in range(m)] for j in range(m)]
+    return [l + a - rank(Matrix(fld, [list(r) for r in rep] + flag[:a])) for a in range(m + 1)]
+
+
+@pytest.mark.parametrize(
+    "l, m, q", [(1, 3, 2), (2, 4, 2), (2, 5, 2), (3, 5, 2), (2, 4, 3), (2, 4, 4)]
+)
+def test_schubert_points_match_rank_condition(l, m, q):
+    # Every alpha, non-strict ones included: the Pluecker section keeps the
+    # same points, labels and order as the rank condition dim(W meet A_alpha_i)
+    # >= i applied to the Grassmannian.
+    fld = GF.from_order(q)
+    grass = grassmann_points(l, m, fld)
+    dims = [_meet_dims(rep, fld) for rep in _reps(l, m, fld)]
+    for alpha in combinations_with_replacement(range(1, m + 1), l):
+        keep = [all(d[a] >= i for i, a in enumerate(alpha, start=1)) for d in dims]
+        got = schubert_points(l, m, list(alpha), fld)
+        assert got.points == list(compress(grass.points, keep)), alpha
+        assert got.labels == list(compress(grass.labels, keep)), alpha
 
 
 def test_schubert_invalid_alpha():
