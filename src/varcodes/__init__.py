@@ -47,6 +47,7 @@ from .varieties import (
     product_p1p1_points,
     quadric_normal_form,
     schubert_points,
+    toric_basis,
     toric_points,
 )
 
@@ -89,6 +90,7 @@ __all__ = [
     "rref",
     "schubert_points",
     "sigma",
+    "toric_basis",
     "toric_points",
     "weight_distribution",
 ]

@@ -45,10 +45,11 @@ from .varieties import (
     hermitian_form,
     hypersurface_points,
     p1p1_basis,
-    point_label,
+    point_labels,
     product_p1p1_points,
     quadric_normal_form,
     schubert_points,
+    toric_basis,
     toric_points,
 )
 
@@ -250,7 +251,7 @@ def _check_complete_intersection(p: Params, q: int) -> None:
 
 def _projective_points(p: Params, fld: GF) -> PointSet:
     pts = enumerate_projective_points(p["m"], fld, p.get("affine", False))
-    return PointSet(fld, p["m"], pts, [point_label(x) for x in pts])
+    return PointSet(fld, p["m"], pts, point_labels(pts))
 
 
 def _quadric_points(p: Params, fld: GF) -> PointSet:
@@ -431,8 +432,8 @@ FAMILIES: dict[str, Family] = {
     ),
     "toric": Family(
         {"s": ints(1), "lattice_points": "list[list[int]]"}, _check_toric,
-        points=lambda p, fld: toric_points(p["s"], p["lattice_points"], fld)[0],
-        basis=lambda p, fld: toric_points(p["s"], p["lattice_points"], fld)[1:],
+        points=lambda p, fld: toric_points(p["s"], fld),
+        basis=lambda p, fld: toric_basis(p["lattice_points"], fld),
     ),
     "complete_intersection": Family(
         {"forms": "list[form]"}, _check_complete_intersection,

@@ -1,47 +1,48 @@
 """Projective spaces over GF(q): point enumeration, monomials, forms.
 
-Points are tuples of element indices in canonical form (first nonzero
-coordinate equal to 1).  Enumeration order is fixed once and for all:
-points grouped by the position of the leading 1 (so the affine x0 = 1
-block comes first), ties broken lexicographically on the remaining
-coordinates in element-index order.
+A set of points is an (N, m + 1) numpy array of element indices in the
+field's array dtype, one canonical point per row (first nonzero coordinate
+equal to 1).  Enumeration order is fixed once and for all: points grouped
+by the position of the leading 1 (so the affine x0 = 1 block comes first),
+ties broken lexicographically on the remaining coordinates in element-index
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams
 from .gf import GF
 
-Point = tuple[int, ...]
 Exponents = tuple[int, ...]
 
 
 def enumerate_projective_points(
     m: int, fld: GF, affine_only: bool = False
-) -> list[Point]:
-    """Canonical representatives of P^m(F_q) in the fixed enumeration order.
+) -> np.ndarray:
+    """Canonical representatives of P^m(F_q), one row each, in the fixed order.
 
     With affine_only, just the x0 = 1 block of size q^m (the complement of
     the hyperplane x0 = 0).
     """
     if m < 1:
         raise InvalidParams(f"ambient dimension must be >= 1, got {m}")
-    q = fld.q
-    points: list[Point] = []
-    last_pivot = 0 if affine_only else m
-    for pivot in range(last_pivot + 1):
-        prefix = (0,) * pivot + (1,)
-        for tail in product(range(q), repeat=m - pivot):
-            points.append(prefix + tail)
-    return points
+    q, dtype = fld.q, fld.array_ops().dtype
+    # F_q^m in lex order: its first q^k rows are 0 but for the last k coordinates.
+    tails = np.indices((q,) * m, dtype).reshape(m, -1).T
+    blocks = []
+    for pivot in range(1 if affine_only else m + 1):
+        block = np.zeros((q ** (m - pivot), m + 1), dtype)
+        block[:, pivot] = 1
+        block[:, pivot + 1 :] = tails[: len(block), pivot:]
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
-def canonicalize(fld: GF, v: tuple[int, ...]) -> Point:
+def canonicalize(fld: GF, v) -> tuple[int, ...]:
     """Scale a nonzero vector so its first nonzero coordinate is 1."""
     lead = next((x for x in v if x != 0), None)
     if lead is None:
@@ -134,10 +135,6 @@ class Form:
         degree = sum(monomials[0]) if monomials else 0
         return cls(fld, len(monomials[0]) - 1, degree, terms)
 
-    def evaluate(self, point: tuple[int, ...]) -> int:
-        """The one-point case of evaluate_forms."""
-        return int(evaluate_forms([self], [point])[0, 0])
-
     def coefficient(self, expo: Exponents) -> int:
         return self.terms.get(tuple(expo), 0)
 
@@ -195,10 +192,10 @@ class Form:
 def evaluate_forms(forms: list[Form], points) -> np.ndarray:
     """Values of every form at every point, as a (forms, points) index array.
 
-    points is a sequence of coordinate tuples or an (N, ambient + 1) index
-    array.  A monomial's value is the product of pow(x_i, e_i) over its
-    variables, which GF.array_ops computes as exp(sum e_i log x_i), masked to
-    0 where some x_i = 0 with e_i > 0.
+    points is an (N, ambient + 1) index array, or a list of coordinate
+    tuples that np.asarray turns into one.  A monomial's value is the
+    product of pow(x_i, e_i) over its variables, which GF.array_ops computes
+    as exp(sum e_i log x_i), masked to 0 where some x_i = 0 with e_i > 0.
     """
     ops = forms[0].field.array_ops()
     x = np.asarray(points, ops.dtype)

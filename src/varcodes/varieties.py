@@ -3,7 +3,9 @@
 Every construction is deterministic: points come out in the fixed
 enumeration order of projgeom, subspaces in pivot-pattern order, blown-up
 directions in P^1 order.  A PointSet holds the ordered evaluation columns
-(projective coordinate vectors) together with per-point origin labels.
+(projective coordinate vectors, one row each of an index array) together
+with per-point origin labels.  Constructions select rows with masks, join
+them with np.concatenate and form products by broadcasting GF.array_ops.
 
 Grassmann points are Pluecker coordinates, computed per pivot pattern in one
 batch.  Schubert points are the Pluecker section p_S = 0 for every S not
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import cache
-from itertools import combinations, combinations_with_replacement, compress, product
+from functools import cache, reduce
+from itertools import combinations, combinations_with_replacement, compress
 from typing import Any
 
 import numpy as np
@@ -38,7 +40,6 @@ from .gf import GF
 from .linalg import Matrix, det, maximal_minors, pivot_patterns, rank_and_kernel
 from .projgeom import (
     Form,
-    Point,
     canonicalize,
     enumerate_monomials,
     enumerate_projective_points,
@@ -46,17 +47,22 @@ from .projgeom import (
 )
 
 
-def point_label(p: tuple[int, ...]) -> str:
-    return "(" + ":".join(str(c) for c in p) + ")"
+def point_labels(points: np.ndarray) -> list[str]:
+    """The label "(x0:x1:...)" of each row of a point array."""
+    return ["(" + ":".join(map(str, p)) + ")" for p in points.tolist()]
 
 
 @dataclass
 class PointSet:
-    """Ordered, labeled evaluation columns in a fixed ambient dimension."""
+    """Ordered, labeled evaluation columns in a fixed ambient dimension.
+
+    points is an (N, ambient + 1) array of element indices in the field's
+    array dtype, one evaluation column per row.
+    """
 
     field: GF
     ambient: int
-    points: list[tuple[int, ...]]
+    points: np.ndarray
     labels: list[str]
 
     def __len__(self) -> int:
@@ -68,20 +74,14 @@ class PointSet:
 
     def proportional_pairs(self) -> bool:
         """True if two columns are projectively equal (invariant violation)."""
-        seen = set()
-        for p in self.points:
-            c = canonicalize(self.field, p)
-            if c in seen:
-                return True
-            seen.add(c)
-        return False
+        return len({canonicalize(self.field, p) for p in self.points.tolist()}) < len(self)
 
     def to_dict(self) -> dict:
         return {
             "field": self.field.to_dict(),
             "ambient": self.ambient,
             "n": len(self.points),
-            "points": [list(p) for p in self.points],
+            "points": self.points.tolist(),
             "labels": self.labels,
         }
 
@@ -183,8 +183,8 @@ def _quadric_rank(f: Form) -> int:
         return n - radical.nrows
     # Characteristic 2: f restricted to the radical is Frobenius-semilinear,
     # so its kernel there has codimension 0 or 1.
-    values = [f.evaluate(tuple(v)) for v in radical.rows]
-    dim_t = radical.nrows - (1 if any(values) else 0)
+    nonzero = radical.nrows and evaluate_forms([f], radical.rows).any()
+    dim_t = radical.nrows - (1 if nonzero else 0)
     return n - dim_t
 
 
@@ -218,8 +218,8 @@ def hypersurface_points(f: Form) -> PointSet:
     """All canonical points of V(f) in enumeration order."""
     fld = f.field
     pts = enumerate_projective_points(f.ambient, fld)
-    pts = list(compress(pts, evaluate_forms([f], pts)[0] == 0))
-    return PointSet(fld, f.ambient, pts, [point_label(p) for p in pts])
+    pts = pts[evaluate_forms([f], pts)[0] == 0]
+    return PointSet(fld, f.ambient, pts, point_labels(pts))
 
 
 def hermitian_form(m: int, r: int, fld: GF) -> Form:
@@ -255,7 +255,7 @@ def grassmann_points(l: int, m: int, fld: GF) -> PointSet:
     invariant(bool((lead == 1).all()), "pivot minor should lead")
     expected = bounds.gaussian_binomial(m, l, fld.q)
     invariant(len(coords) == expected, f"{len(coords)} subspaces, expected {expected}")
-    return PointSet(fld, coords.shape[1] - 1, list(map(tuple, coords.tolist())), labels)
+    return PointSet(fld, coords.shape[1] - 1, coords, labels)
 
 
 def schubert_points(l: int, m: int, alpha: list[int], fld: GF) -> PointSet:
@@ -271,10 +271,8 @@ def schubert_points(l: int, m: int, alpha: list[int], fld: GF) -> PointSet:
         for j, S in enumerate(combinations(range(m), l))
         if any(s >= a for s, a in zip(S, alpha))  # 0-based s, so s + 1 > a
     ]
-    keep = ~np.array(grass.points)[:, outside].any(axis=1)
-    return PointSet(
-        fld, grass.ambient, list(compress(grass.points, keep)), list(compress(grass.labels, keep))
-    )
+    keep = ~grass.points[:, outside].any(axis=1)
+    return PointSet(fld, grass.ambient, grass.points[keep], list(compress(grass.labels, keep)))
 
 
 def flag_points(m: int, fld: GF) -> PointSet:
@@ -283,19 +281,14 @@ def flag_points(m: int, fld: GF) -> PointSet:
     Coordinates z_ij = x_i * y_j for x the point, y the hyperplane
     coefficients; incidence makes the diagonal trace vanish.
     """
+    ops = fld.array_ops()
     reps = enumerate_projective_points(m - 1, fld)
-    pts = []
-    labels = []
-    for x in reps:
-        for y in reps:
-            acc = 0
-            for xi, yi in zip(x, y):
-                acc = fld.add(acc, fld.mul(xi, yi))
-            if acc != 0:
-                continue
-            z = tuple(fld.mul(xi, yj) for xi in x for yj in y)
-            pts.append(z)
-            labels.append(f"P={point_label(x)} H={point_label(y)}")
+    products = ops.mul(reps[:, None], reps[None])  # x_i * y_i for every pair (x, y)
+    trace = reduce(ops.add, np.moveaxis(products, -1, 0))
+    x, y = np.nonzero(trace == 0)  # x-major, as the pairs are enumerated
+    pts = ops.mul(reps[x, :, None], reps[y, None, :]).reshape(len(x), m * m)
+    names = point_labels(reps)
+    labels = [f"P={names[i]} H={names[j]}" for i, j in zip(x.tolist(), y.tolist())]
     expected = bounds.flag_count(m, fld.q)
     invariant(len(pts) == expected, f"{len(pts)} flags, expected {expected}")
     return PointSet(fld, m * m - 1, pts, labels)
@@ -304,8 +297,8 @@ def flag_points(m: int, fld: GF) -> PointSet:
 # -- Del Pezzo surfaces ----------------------------------------------------------
 
 
-def _general_position_select(l: int, fld: GF) -> list[Point]:
-    """First l points of P^2 in enumeration order that are in general position.
+def _general_position_select(l: int, fld: GF) -> list[int]:
+    """Indices of the first l points of P^2 (in enumeration order) in general position.
 
     Depth-first over the enumeration order (equals the plain greedy scan
     whenever that scan succeeds): no three collinear, no six on a conic.
@@ -315,8 +308,8 @@ def _general_position_select(l: int, fld: GF) -> list[Point]:
     collinear, lie on one conic, and a sixth lies on it iff the six points'
     degree-2 monomials are dependent.
     """
-    points = enumerate_projective_points(2, fld)
-    index = {p: i for i, p in enumerate(points)}
+    points = enumerate_projective_points(2, fld).tolist()
+    index = {tuple(p): i for i, p in enumerate(points)}
     veronese = [[fld.mul(a, b) for a, b in combinations_with_replacement(p, 2)] for p in points]
 
     @cache
@@ -352,43 +345,49 @@ def _general_position_select(l: int, fld: GF) -> list[Point]:
         raise GeneralPositionFailure(
             f"no {l} points of P^2(F_{fld.q}) in general position found"
         )
-    return [points[i] for i in chosen]
+    return chosen
 
 
-def delpezzo_points(l: int, fld: GF) -> tuple[PointSet, list[Form], list[Point]]:
+def delpezzo_points(l: int, fld: GF) -> tuple[PointSet, list[Form], np.ndarray]:
     """Evaluation data for the blow-up of P^2 at l general points, q > 4.
 
     Returns the point set (columns of cubic-basis values: ordinary points of
     P^2 minus the base points, then q+1 directional columns per base point),
     the basis of the 10 - l cubics through the base points, and the base
-    points themselves.  Whether the configuration carries an Eckardt point
-    is only visible downstream, from the measured minimum distance.
+    points themselves as an (l, 3) array.  Whether the configuration carries
+    an Eckardt point is only visible downstream, from the measured minimum
+    distance.
     """
-    base = _general_position_select(l, fld)
+    chosen = _general_position_select(l, fld)
+    plane = enumerate_projective_points(2, fld)
+    base = plane[chosen]
     cubics = enumerate_monomials(2, 3)
     basis = [Form.monomial(fld, e) for e in cubics]
     if l:
-        r, ker = rank_and_kernel(Matrix(fld, evaluate_forms(basis, base).T.tolist()))
+        r, ker = rank_and_kernel(Matrix(fld, evaluate_forms(basis, base).T))
         invariant(r == l, "base points failed to impose independent conditions")
         basis = [Form.from_coeff_vector(fld, cubics, list(v)) for v in ker.rows]
 
-    base_set = set(base)
-    ordinary = [p for p in enumerate_projective_points(2, fld) if p not in base_set]
-    pts = list(map(tuple, evaluate_forms(basis, ordinary).T.tolist()))
-    labels = [point_label(p) for p in ordinary]
+    ops = fld.array_ops()
+    ordinary = np.delete(plane, chosen, axis=0)
+    columns = [evaluate_forms(basis, ordinary).T]
+    labels = point_labels(ordinary)
     directions = enumerate_projective_points(1, fld)
-    for bp in base:
-        pivot = next(i for i, x in enumerate(bp) if x != 0)  # leading 1
+    u, v = directions[:, :1], directions[:, 1:]
+    names = point_labels(directions)
+    for bp, bp_name in zip(base, point_labels(base)):
+        pivot = int(np.flatnonzero(bp)[0])  # leading 1
         a, b = [i for i in range(3) if i != pivot]
         partials = [f.partial(i) for f in basis for i in (a, b)]
-        grads = evaluate_forms(partials, [bp]).reshape(-1, 2).tolist()
+        grads = evaluate_forms(partials, bp[None]).reshape(-1, 2)
         # Direction (u, v) at bp gives the column of u * df/dx_a + v * df/dx_b.
-        cols = evaluate_forms([Form.linear(fld, tuple(g)) for g in grads], directions).T
+        cols = ops.add(ops.mul(u, grads[:, 0]), ops.mul(v, grads[:, 1]))
         invariant(
             bool(cols.any(axis=1).all()), "anticanonical system failed to separate a direction"
         )
-        pts += map(tuple, cols.tolist())
-        labels += [f"E{point_label(bp)} dir {point_label(d)}" for d in directions]
+        columns.append(cols)
+        labels += [f"E{bp_name} dir {d}" for d in names]
+    pts = np.concatenate(columns)
     expected = fld.q * fld.q + fld.q + 1 + l * fld.q
     invariant(len(pts) == expected, f"{len(pts)} columns, expected {expected}")
     return PointSet(fld, len(basis) - 1, pts, labels), basis, base
@@ -397,27 +396,24 @@ def delpezzo_points(l: int, fld: GF) -> tuple[PointSet, list[Form], list[Point]]
 # -- toric, complete intersection, P1 x P1 ----------------------------------------
 
 
-def toric_points(
-    s: int, lattice_points: list[tuple[int, ...]], fld: GF
-) -> tuple[PointSet, list[Form], list[str]]:
-    """Torus evaluation points plus the (homogenized) monomial basis.
+def toric_points(s: int, fld: GF) -> PointSet:
+    """The (q-1)^s points of the torus, embedded as (1 : t_1 : ... : t_s)."""
+    pts = enumerate_projective_points(s, fld, affine_only=True)
+    pts = pts[pts.all(axis=1)]
+    return PointSet(fld, s, pts, [f"t={tuple(t)}" for t in pts[:, 1:].tolist()])
 
-    Evaluation points are the (q-1)^s points of the torus, embedded as
-    (1 : t_1 : ... : t_s).  Each lattice point u gives the monomial t^u,
-    homogenized to degree max(|u|) with a power of x0 (values on the
-    embedded torus are unchanged since x0 = 1 there).
+
+def toric_basis(lattice_points: list[tuple[int, ...]], fld: GF) -> tuple[list[Form], list[str]]:
+    """The (homogenized) monomial basis of a set of lattice points.
+
+    Each lattice point u gives the monomial t^u, homogenized to degree
+    max(|u|) with a power of x0 (values on the embedded torus are unchanged
+    since x0 = 1 there).
     """
     reduced = [tuple(x % (fld.q - 1) for x in u) for u in lattice_points]
     degree = max(sum(u) for u in reduced)
-    basis = []
-    labels = []
-    for u_orig, u in zip(lattice_points, reduced):
-        expo = (degree - sum(u),) + u
-        basis.append(Form.monomial(fld, expo))
-        labels.append(f"t^{tuple(u_orig)}")
-    pts = [(1,) + t for t in product(range(1, fld.q), repeat=s)]
-    point_labels = [f"t={t[1:]}" for t in pts]
-    return PointSet(fld, s, pts, point_labels), basis, labels
+    basis = [Form.monomial(fld, (degree - sum(u),) + u) for u in reduced]
+    return basis, [f"t^{tuple(u)}" for u in lattice_points]
 
 
 def complete_intersection_points(forms: list[Form]) -> PointSet:
@@ -425,7 +421,7 @@ def complete_intersection_points(forms: list[Form]) -> PointSet:
     fld = forms[0].field
     m = forms[0].ambient
     pts = enumerate_projective_points(m, fld)
-    pts = list(compress(pts, ~evaluate_forms(forms, pts).any(axis=0)))
+    pts = pts[~evaluate_forms(forms, pts).any(axis=0)]
     expected = 1
     for f in forms:
         expected *= f.degree
@@ -435,19 +431,15 @@ def complete_intersection_points(forms: list[Form]) -> PointSet:
             "not a reduced complete intersection, Cayley-Bacharach bounds do not apply",
             stacklevel=2,
         )
-    return PointSet(fld, m, pts, [point_label(p) for p in pts])
+    return PointSet(fld, m, pts, point_labels(pts))
 
 
 def product_p1p1_points(fld: GF) -> PointSet:
     """All (q+1)^2 pairs of P^1 points, coordinates concatenated."""
     line = enumerate_projective_points(1, fld)
-    pts = []
-    labels = []
-    for a in line:
-        for b in line:
-            pts.append(a + b)
-            labels.append(f"{point_label(a)}x{point_label(b)}")
-    return PointSet(fld, 3, pts, labels)
+    pts = np.hstack([np.repeat(line, len(line), axis=0), np.tile(line, (len(line), 1))])
+    names = point_labels(line)
+    return PointSet(fld, 3, pts, [f"{a}x{b}" for a in names for b in names])
 
 
 def p1p1_basis(alpha: int, beta: int, fld: GF) -> tuple[list[Form], list[str]]:

@@ -1,6 +1,10 @@
 """CLI: command round trips, formats, exit codes, determinism."""
 
+import hashlib
 import json
+import warnings
+
+import pytest
 
 from varcodes.cli import main
 
@@ -205,3 +209,72 @@ def test_workers_and_budget_must_be_positive(tmp_path, capsys):
             rc, out, err = run(capsys, *command, flag, value)
             assert (rc, out) == (2, "")
             assert f"{flag} must be >= 1, got {value}" in err
+
+
+def _form(terms, degree):
+    return {"ambient": 2, "degree": degree, "terms": terms}
+
+
+# (descriptor, q, h, sha256 of `points` stdout, sha256 of the `build --out`
+# artifact or None where build exits 2), recorded before point sets became
+# index arrays; any change to point order, labels or values shows here.
+GOLDEN = [
+    ({"family": "projective_space", "m": 2, "affine": True}, 3, 2,
+     "385b1716147b5b63351e4ee6ccdcc92f39ab1b3f2d75002d70c9c018f533f84a",
+     "93d23fa2023092dd19869f6cc692daca6a634c4c4c43c8833017f431e6c71551"),
+    ({"family": "quadric", "form": _form([[[1, 1, 0], 1], [[0, 0, 2], 2]], 2)}, 5, 1,
+     "2a7f728b67f49f3071a0627851fcfe91ecfdbe8687c4b0386e750a33df6d606d",
+     "64d9d5a8571bba31c6bb78d42b0571a4f9de1579dc7e6449b9f474805c665248"),
+    ({"family": "hermitian", "m": 2, "r": 3}, 9, 1,
+     "b35a9139b686d3fc14fc0bf4cd129849a14266539611c5c23f2b699ec3161bf7",
+     "0188fe515abbe547e8c8f87d0120bca3e598e315c472be442ce3ad15994f7408"),
+    ({"family": "grassmann", "l": 2, "m": 4}, 3, 1,
+     "02eee66964b8ef2ddd7273cb8db3bffaff3836b1daff3a5199a4d73f2afb954d",
+     "2eb011e6eab0d1a60444b2fd85c5fd4a13144b7f0d6d33cc25bcb2d133197cf9"),
+    ({"family": "schubert", "l": 2, "m": 4, "alpha": [3, 3]}, 2, 1,
+     "5a42ec3bccbddd3f975d4dcb4a17b59bb153aff947d95302e6bd1562dec64249",
+     "4dfde2734020d9e75a5589a3ee823c8ac8cc683808709c4a653817a37e63a92c"),
+    ({"family": "flag", "m": 4}, 2, 1,
+     "d4c9eb84dcf97eea4cda97f8ea2c91f7acb8426c5f8bbf5f37865a8ec9f0691f",
+     "86e66976bbf63df210b891026c8a993909b25212b6382a422b866864d6d7b6a7"),
+    ({"family": "del_pezzo", "l": 6}, 7, 1,
+     "35f30c0f3af1ce99c6a7bd81e5653a1d80b416c8debf619533638e69561aa167",
+     "145c84a86c8058210958d9a4cf58f15eb17497a8a8715318a018bde62ea13415"),
+    ({"family": "toric", "s": 1, "lattice_points": [[0], [1], [2]]}, 5, 1,
+     "66540024197221352c49488a4a8e102fdb7adb6fb89884fdd15e372bfd957261",
+     "b34e32e3d2bbd8826bac9eb2999b08cb616570a9152dc43e2f7dbf0ab367a51c"),
+    ({"family": "toric", "s": 2, "lattice_points": [[0, 0], [1, 0], [0, 1], [1, 1]]}, 4, 1,
+     "454391a0b3fd1060b27a51baf2da252c8df1a05182cec8c7887b719bd143ad9d",
+     "fbbab8b34f4740e28820430e5ef8408409958f4f743f173ee86e21fb5398ec20"),
+    # x0^2 + x0*x1 + x1^2 = x2 = 0 has no point over GF(2).
+    ({"family": "complete_intersection", "forms": [
+        _form([[[2, 0, 0], 1], [[1, 1, 0], 1], [[0, 2, 0], 1]], 2),
+        _form([[[0, 0, 1], 1]], 1)]}, 2, 1,
+     "3e90d4d841c1d863deb12ad81a4961b10915be7d411da0823a513deb9f2eeae7", None),
+    ({"family": "complete_intersection", "forms": [
+        _form([[[1, 1, 0], 1]], 2), _form([[[0, 0, 1], 1]], 1)]}, 3, 1,
+     "a5eab405391d612064d1e908198cc2cd10fbc8de416123ec4e15f78bbec01c73",
+     "f1e585a62f243c0cf9793f7cf732eeefa4660e2129fa5374544529fdfc78178d"),
+    ({"family": "p1xp1", "alpha": 1, "beta": 1}, 3, 1,
+     "9214cffc0756fbd8d12734a343f4f846566aa33a8700d01b64cf093462cff7d9",
+     "432dc6fec1f7370c7e27445fa6bf63a2583995baa93a15a686f6fc10ea7e635f"),
+]
+
+
+@pytest.mark.parametrize(
+    "desc,q,h,points_sha,artifact_sha", GOLDEN, ids=[f"{c[0]['family']}-q{c[1]}" for c in GOLDEN]
+)
+def test_golden_output(tmp_path, capsys, desc, q, h, points_sha, artifact_sha):
+    artifact = tmp_path / "code.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the empty intersection warns on its degree product
+        rc, out, _ = run(capsys, "points", json.dumps(desc), "--q", str(q))
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == points_sha
+        rc, _, _ = run(capsys, "build", json.dumps(desc), "--q", str(q), "--h", str(h),
+                       "--out", str(artifact))
+    if artifact_sha is None:
+        assert rc == 2 and not artifact.exists()
+    else:
+        assert rc == 0
+        assert hashlib.sha256(artifact.read_bytes()).hexdigest() == artifact_sha

@@ -581,12 +581,14 @@ def test_veronese_reembedding_equivalence():
     fld = F3
     monos = enumerate_monomials(2, 2)
     images = []
-    for p in enumerate_projective_points(2, fld):
+    for p in enumerate_projective_points(2, fld).tolist():
         vec = tuple(
             _monomial_eval(fld, e, p) for e in monos
         )
         images.append(canonicalize(fld, vec))
-    veronese = PointSet(fld, len(monos) - 1, images, [str(p) for p in images])
+    veronese = PointSet(
+        fld, len(monos) - 1, np.array(images, fld.array_ops().dtype), [str(p) for p in images]
+    )
     assert not veronese.proportional_pairs()
     c1 = build_evaluation_code(veronese, h=1)
     c2 = _code("projective_space", {"m": 2}, 2, fld)

@@ -3,6 +3,7 @@
 import json
 from itertools import combinations, combinations_with_replacement, compress, product
 
+import numpy as np
 import pytest
 
 from varcodes import bounds
@@ -19,7 +20,7 @@ from varcodes.errors import (
 from varcodes.families import build_point_set, check_descriptor
 from varcodes.gf import GF
 from varcodes.linalg import Matrix, rank
-from varcodes.projgeom import Form, enumerate_projective_points
+from varcodes.projgeom import Form, enumerate_projective_points, evaluate_forms
 from varcodes.varieties import (
     VarietyDescriptor,
     classify_quadric,
@@ -33,6 +34,7 @@ from varcodes.varieties import (
     product_p1p1_points,
     quadric_normal_form,
     schubert_points,
+    toric_basis,
     toric_points,
 )
 
@@ -183,7 +185,7 @@ def test_grassmann_counts(q, expected):
 def test_grassmann_lines_equal_projective_space(q, m):
     fld = GF.from_order(q)
     pts = grassmann_points(1, m, fld)
-    assert pts.points == enumerate_projective_points(m - 1, fld)
+    assert pts.points.tolist() == enumerate_projective_points(m - 1, fld).tolist()
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -245,7 +247,7 @@ def _reps(l, m, fld):
 
 def test_schubert_full_alpha_is_whole_grassmannian():
     full = schubert_points(2, 4, [3, 4], F2)
-    assert full.points == grassmann_points(2, 4, F2).points
+    assert full.points.tolist() == grassmann_points(2, 4, F2).points.tolist()
 
 
 def test_schubert_minimal_alpha_single_point():
@@ -284,7 +286,7 @@ def test_schubert_points_match_rank_condition(l, m, q):
     for alpha in combinations_with_replacement(range(1, m + 1), l):
         keep = [all(d[a] >= i for i, a in enumerate(alpha, start=1)) for d in dims]
         got = schubert_points(l, m, list(alpha), fld)
-        assert got.points == list(compress(grass.points, keep)), alpha
+        assert got.points.tolist() == list(compress(grass.points.tolist(), keep)), alpha
         assert got.labels == list(compress(grass.labels, keep)), alpha
 
 
@@ -330,7 +332,7 @@ def test_delpezzo_l0_is_veronese():
     pts, basis, base = delpezzo_points(0, F5)
     assert len(pts) == 31
     assert len(basis) == 10
-    assert base == []
+    assert base.shape == (0, 3)
 
 
 def test_delpezzo_l1_gf7():
@@ -358,6 +360,7 @@ _BASE_POINTS = {
 def test_delpezzo_counts_and_separation(l, fld):
     q = fld.q
     pts, basis, base = delpezzo_points(l, fld)
+    base = list(map(tuple, base.tolist()))
     assert base == _BASE_POINTS[q][:l]
     assert len(pts) == q * q + q + 1 + q * l
     assert len(basis) == 10 - l
@@ -399,7 +402,8 @@ def test_delpezzo_small_field_rejected():
 
 
 def test_toric_reed_solomon_structure():
-    pts, basis, labels = toric_points(1, [(0,), (1,)], F4)
+    pts = toric_points(1, F4)
+    basis, labels = toric_basis([(0,), (1,)], F4)
     assert len(pts) == 3
     assert [f.degree for f in basis] == [1, 1]
     assert labels == ["t^(0,)", "t^(1,)"]
@@ -408,13 +412,14 @@ def test_toric_reed_solomon_structure():
 @pytest.mark.parametrize("q,s", [(2, 1), (3, 2), (4, 2), (5, 1)])
 def test_toric_point_count(q, s):
     fld = GF.from_order(q)
-    pts, _, _ = toric_points(s, [tuple([0] * s)], fld)
+    pts = toric_points(s, fld)
     assert len(pts) == (q - 1) ** s
+    assert pts.points.tolist() == [[1, *t] for t in product(range(1, q), repeat=s)]
 
 
 def test_toric_exponent_reduction():
     # exponents live mod q - 1 on the torus
-    pts, basis, _ = toric_points(1, [(5,)], F4)
+    basis, _ = toric_basis([(5,)], F4)
     assert basis[0].degree == 5 % 3
     with pytest.raises(EmptyPolytope):
         check_descriptor(VarietyDescriptor("toric", {"s": 1, "lattice_points": []}), 1, 4)
@@ -490,7 +495,27 @@ def test_point_set_invariants_across_families(q):
     if q <= 3:
         sets.append(build_point_set(VarietyDescriptor("grassmann", {"l": 2, "m": 4}), fld))
         sets.append(build_point_set(VarietyDescriptor("flag", {"m": 3}), fld))
+        sets.append(
+            build_point_set(VarietyDescriptor("schubert", {"l": 2, "m": 4, "alpha": [3, 3]}), fld)
+        )
+    if q >= 5:  # GF(5) has no six points in general position
+        sets.append(build_point_set(VarietyDescriptor("del_pezzo", {"l": min(q, 6)}), fld))
+    forms = [
+        {"ambient": 2, "degree": 2, "terms": [[[1, 1, 0], 1]]},
+        {"ambient": 2, "degree": 1, "terms": [[[0, 0, 1], 1]]},
+    ]
+    for family, params in [
+        ("toric", {"s": 2, "lattice_points": [[0, 1]]}),
+        ("p1xp1", {"alpha": 1, "beta": 1}),
+        ("complete_intersection", {"forms": forms}),
+    ]:
+        sets.append(build_point_set(VarietyDescriptor(family, params), fld))
+    dtype = fld.array_ops().dtype
     for s in sets:
+        assert isinstance(s.points, np.ndarray)
+        assert s.points.shape == (len(s), s.ambient + 1)
+        assert s.points.dtype == dtype
+        assert (s.points < q).all()
         assert not s.proportional_pairs()
         assert len(s.labels) == len(s)
 
@@ -519,7 +544,7 @@ def test_delpezzo_triangle_section_zero_count():
     # plane, all q+1 directions over each vertex, and one direction over
     # nothing else, for 5q = 25 zero columns on the l = 2 surface.
     pts, basis, base = delpezzo_points(2, F5)
-    p1, p2 = base
+    p1, p2 = base = base.tolist()
 
     def on_line(l, p):
         acc = 0
@@ -527,7 +552,7 @@ def test_delpezzo_triangle_section_zero_count():
             acc = F5.add(acc, F5.mul(c, x))
         return acc == 0
 
-    plane = enumerate_projective_points(2, F5)
+    plane = enumerate_projective_points(2, F5).tolist()
     l12 = _line_through(F5, p1, p2)
     x1 = next(p for p in plane if p not in (p1, p2) and not on_line(l12, p))
     l1 = _line_through(F5, p1, x1)
@@ -540,17 +565,17 @@ def test_delpezzo_triangle_section_zero_count():
     cubic = _product_form(
         _product_form(Form.linear(F5, l12), Form.linear(F5, l1)), Form.linear(F5, l2)
     )
-    assert cubic.evaluate(p1) == 0 and cubic.evaluate(p2) == 0
+    assert evaluate_forms([cubic], [p1, p2]).tolist() == [[0, 0]]
 
     zeros = 0
     for p in plane:
         if p in (p1, p2):
             continue
-        zeros += cubic.evaluate(p) == 0
+        zeros += evaluate_forms([cubic], [p])[0, 0] == 0
     for bp in base:
         pivot = next(i for i, x in enumerate(bp) if x != 0)
         a, b = [i for i in range(3) if i != pivot]
-        ga, gb = cubic.partial(a).evaluate(bp), cubic.partial(b).evaluate(bp)
-        for u, v in enumerate_projective_points(1, F5):
+        ga, gb = evaluate_forms([cubic.partial(a), cubic.partial(b)], [bp])[:, 0].tolist()
+        for u, v in enumerate_projective_points(1, F5).tolist():
             zeros += F5.add(F5.mul(u, ga), F5.mul(v, gb)) == 0
     assert zeros == 25  # so this section's codeword has weight 41 - 25 = 16
