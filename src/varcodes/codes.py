@@ -73,14 +73,14 @@ class WeightEnumerator:
     def to_dict(self) -> dict:
         return {str(w): self.counts[w] for w in sorted(self.counts) if self.counts[w]}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "WeightEnumerator":
-        return cls({int(w): int(c) for w, c in d.items()})
 
-
-@dataclass
+@dataclass(eq=False)
 class LinearCode:
-    """Linear [n, k] code given by a full-rank generator matrix in RREF."""
+    """Linear [n, k] code given by a full-rank generator matrix in RREF.
+
+    The generator's rows are one index array (see Matrix), which the
+    enumeration engine reads as it is; only to_dict and to_csv make lists.
+    """
 
     field: GF
     generator: Matrix
@@ -104,9 +104,7 @@ class LinearCode:
         return f"[{self.n},{self.k}{d}]_{self.field.q}"
 
     def has_zero_column(self) -> bool:
-        return any(
-            all(row[j] == 0 for row in self.generator.rows) for j in range(self.n)
-        )
+        return not self.generator.rows.any(axis=0).all()
 
     def to_dict(self) -> dict:
         return {
@@ -115,7 +113,7 @@ class LinearCode:
             "n": self.n,
             "k": self.k,
             "kernel_dim": self.kernel_dim,
-            "generator": [row[:] for row in self.generator.rows],
+            "generator": self.generator.rows.tolist(),
             "point_labels": self.point_labels,
             "basis_labels": self.basis_labels,
             "provenance": self.provenance,
@@ -128,14 +126,16 @@ class LinearCode:
             raise InvalidParams(f"unsupported artifact format version {d['format_version']!r}")
         require_fields("artifact field", d["field"], _FIELD_KINDS, {"q", "modulus"})
         fld = GF.from_dict(d["field"])
-        gen = Matrix(fld, [row[:] for row in d["generator"]])
+        rows = d["generator"]
+        # Range-check the JSON ints before they become array entries.
+        if any(row and not (min(row) >= 0 and max(row) < fld.q) for row in rows):
+            raise InvalidParams(f"artifact generator has an entry outside GF({fld.q})")
+        gen = Matrix(fld, rows)
         if (gen.nrows, gen.ncols, len(d["point_labels"])) != (d["k"], d["n"], d["n"]):
             raise InvalidParams(
                 f"artifact says k={d['k']}, n={d['n']}, but has a {gen.nrows} x "
                 f"{gen.ncols} generator and {len(d['point_labels'])} point labels"
             )
-        if gen.ncols and not (min(map(min, gen.rows)) >= 0 and max(map(max, gen.rows)) < fld.q):
-            raise InvalidParams(f"artifact generator has an entry outside GF({fld.q})")
         _, pivots = rref(gen)
         if not 0 < len(pivots) == gen.nrows:
             raise InvalidParams("artifact generator is not full rank")
@@ -149,7 +149,7 @@ class LinearCode:
         )
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(x) for x in row) for row in self.generator.rows) + "\n"
+        return "\n".join(",".join(map(str, row)) for row in self.generator.rows.tolist()) + "\n"
 
 
 # -- construction -----------------------------------------------------------------

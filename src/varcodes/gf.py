@@ -48,43 +48,54 @@ MAX_ORDER = 1 << 16
 ADD_TABLE_MAX = 256  # largest q with uint8 elements; odd q up to it get an add table
 
 
+# Miller-Rabin on these bases is exact below _MR_EXACT_BELOW (Sorenson and
+# Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Exact primality without trial division past 41, so a huge n answers at once.
+
+    An n >= _MR_EXACT_BELOW that no base divides raises FieldTooLarge.
+    """
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    if n >= _MR_EXACT_BELOW:
+        raise FieldTooLarge(f"primality is only decided below {_MR_EXACT_BELOW}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << i, n) for i in range(s)):
             return False
-        d += 1
     return True
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e; NotPrime unless q is a prime power >= 2."""
-    if q >= 2:
-        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-        e, rest = 0, q
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        if rest == 1:
-            return p, e
+    """(p, e) with q = p^e; NotPrime unless q is a prime power >= 2.
+
+    Takes whole l-th roots for prime l = 2, 3, 5, ... while one can exist,
+    then tests the last root for primality, so a huge q answers at once.
+    """
+    p, e, l = q, 1, 2
+    while q >= 2 and (r := _iroot(p, l)) >= 2:
+        if r**l == p:
+            p, e = r, e * l
+        else:
+            l = next(n for n in range(l + 1, 2 * l + 1) if is_prime(n))
+    if is_prime(p):
+        return p, e
     raise NotPrime(f"{q} is not a prime power")
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _iroot(q: int, e: int) -> int:
+    """The integer part of q^(1/e), q >= 1, by Newton's method from above."""
+    x = math.log2(q) / e
+    k = max(int(x) - 52, 0)
+    r = int(2 ** (x - k) * (1 + 2**-30) + 1) << k  # 2^-30 covers the float error
+    while (s := ((e - 1) * r + q // r ** (e - 1)) // e) < r:
+        r = s
+    return r
 
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
@@ -135,6 +146,8 @@ class GF:
             raise NotPrime(f"characteristic {p} is not prime")
         if e < 1:
             raise DegreeZero(f"extension degree must be >= 1, got {e}")
+        if e >= MAX_ORDER.bit_length():  # 2^e > MAX_ORDER already; do not build p^e
+            raise FieldTooLarge(f"p^e = {p}^{e} exceeds the cap {MAX_ORDER}")
         q = p**e
         if q > MAX_ORDER:
             raise FieldTooLarge(f"p^e = {q} exceeds the cap {MAX_ORDER}")
@@ -204,7 +217,7 @@ class GF:
         n = self.q - 1
         if n == 1:
             return 1
-        cofactors = [n // f for f in prime_factors(n)]
+        cofactors = [n // f for f in range(2, n + 1) if n % f == 0 and is_prime(f)]
         for g in range(1, self.q):
             if all(self._pow_raw(g, c) != 1 for c in cofactors):
                 return g

@@ -1,10 +1,12 @@
 """Dense exact linear algebra over GF(q).
 
-A Matrix holds canonical element indices in row-major lists.  The bulk
-routines run on numpy index arrays through GF.array_ops: rref eliminates one
-pivot at a time with a broadcast update of every other row, and
-maximal_minors computes the Pluecker coordinates of a whole stack of l x m
-matrices at once.  det stays a scalar elimination for single small matrices.
+A Matrix holds canonical element indices in one 2-D numpy array of the
+field's array dtype, from artifact load or evaluation through rref and
+rank_and_kernel to the enumeration engine.  The bulk routines run on it
+through GF.array_ops: rref eliminates one pivot at a time with a broadcast
+update of every other row, and maximal_minors computes the Pluecker
+coordinates of a whole stack of l x m matrices at once.  det stays a scalar
+elimination for single small matrices.
 """
 
 from __future__ import annotations
@@ -18,41 +20,41 @@ from .errors import DimensionMismatch
 from .gf import GF
 
 
-@dataclass
+@dataclass(eq=False)
 class Matrix:
+    """A matrix over a field, as a 2-D index array in field.array_ops().dtype.
+
+    rows may be given as such an array, which is kept as it is, or as nested
+    lists of element indices, which are checked for ragged rows and
+    converted once.  Entries are not range-checked here;
+    LinearCode.from_dict checks them at the boundary.
+    """
+
     field: GF
-    rows: list[list[int]]
+    rows: np.ndarray
 
     def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
+        if isinstance(self.rows, np.ndarray):
+            return
+        if len({len(r) for r in self.rows}) > 1:
             raise DimensionMismatch("ragged rows")
+        ncols = len(self.rows[0]) if self.rows else 0
+        self.rows = np.array(self.rows, self.field.array_ops().dtype).reshape(len(self.rows), ncols)
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return self.rows.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if len(self.rows) else 0
-
-    @classmethod
-    def identity(cls, field: GF, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field: GF, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[0] * ncols for _ in range(nrows)])
+        return self.rows.shape[1]
 
 
 def rref(M: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns; row space is preserved.
-
-    Rows may be given as lists or as a 2-D index array; the result has lists.
-    """
+    """Reduced row echelon form and pivot columns; row space is preserved."""
     F = M.field
     ops = F.array_ops()
-    R = np.array(M.rows, ops.dtype).reshape(M.nrows, M.ncols)
+    R = M.rows.copy()
     pivots: list[int] = []
     col = 0
     for r in range(M.nrows):
@@ -72,7 +74,7 @@ def rref(M: Matrix) -> tuple[Matrix, list[int]]:
             R[others, col:] = ops.add(R[others, col:], ops.neg(scaled))
         pivots.append(col)
         col += 1
-    return Matrix(F, R.tolist()), pivots
+    return Matrix(F, R), pivots
 
 
 def pivot_patterns(r: int, k: int):
@@ -95,18 +97,12 @@ def rank_and_kernel(M: Matrix) -> tuple[int, Matrix]:
     Basis vectors are indexed by the non-pivot columns in ascending order,
     each with a 1 in its free coordinate, so the result is canonical.
     """
-    F = M.field
     R, pivots = rref(M)
-    ncols = M.ncols
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [0] * ncols
-        v[j] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(R.rows[i][j])
-        basis.append(v)
-    return len(pivots), Matrix(F, basis)
+    free = [j for j in range(M.ncols) if j not in pivots]
+    basis = np.zeros((len(free), M.ncols), R.rows.dtype)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = M.field.array_ops().neg(R.rows[: len(pivots), free]).T
+    return len(pivots), Matrix(M.field, basis)
 
 
 def det(M: Matrix) -> int:
@@ -115,7 +111,7 @@ def det(M: Matrix) -> int:
     n = M.nrows
     if n != M.ncols:
         raise DimensionMismatch("determinant of a non-square matrix")
-    A = [row[:] for row in M.rows]
+    A = M.rows.tolist()
     d = 1
     for col in range(n):
         pivot_row = next((i for i in range(col, n) if A[i][col] != 0), None)

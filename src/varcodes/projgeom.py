@@ -118,16 +118,6 @@ class Form:
         return cls(fld, len(expo) - 1, sum(expo), {tuple(expo): coeff})
 
     @classmethod
-    def linear(cls, fld: GF, coeffs: tuple[int, ...]) -> "Form":
-        m = len(coeffs) - 1
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                expo = tuple(1 if j == i else 0 for j in range(m + 1))
-                terms[expo] = c
-        return cls(fld, m, 1, terms)
-
-    @classmethod
     def from_coeff_vector(
         cls, fld: GF, monomials: list[Exponents], coeffs: list[int]
     ) -> "Form":

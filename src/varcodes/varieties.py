@@ -21,7 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cache, reduce
-from itertools import combinations, combinations_with_replacement, compress
+from itertools import combinations, compress
 from typing import Any
 
 import numpy as np
@@ -308,9 +308,10 @@ def _general_position_select(l: int, fld: GF) -> list[int]:
     collinear, lie on one conic, and a sixth lies on it iff the six points'
     degree-2 monomials are dependent.
     """
-    points = enumerate_projective_points(2, fld).tolist()
+    plane = enumerate_projective_points(2, fld)
+    points = plane.tolist()
     index = {tuple(p): i for i, p in enumerate(points)}
-    veronese = [[fld.mul(a, b) for a, b in combinations_with_replacement(p, 2)] for p in points]
+    veronese = evaluate_forms([Form.monomial(fld, e) for e in enumerate_monomials(2, 2)], plane).T
 
     @cache
     def line_through(i: int, j: int) -> int:
@@ -330,7 +331,7 @@ def _general_position_select(l: int, fld: GF) -> list[int]:
         while candidates:
             c = (candidates & -candidates).bit_length() - 1
             candidates &= candidates - 1
-            if len(chosen) == 5 and det(Matrix(fld, [veronese[i] for i in chosen + [c]])) == 0:
+            if len(chosen) == 5 and det(Matrix(fld, veronese[chosen + [c]])) == 0:
                 continue
             chosen.append(c)
             now_blocked = blocked
@@ -366,7 +367,7 @@ def delpezzo_points(l: int, fld: GF) -> tuple[PointSet, list[Form], np.ndarray]:
     if l:
         r, ker = rank_and_kernel(Matrix(fld, evaluate_forms(basis, base).T))
         invariant(r == l, "base points failed to impose independent conditions")
-        basis = [Form.from_coeff_vector(fld, cubics, list(v)) for v in ker.rows]
+        basis = [Form.from_coeff_vector(fld, cubics, v) for v in ker.rows.tolist()]
 
     ops = fld.array_ops()
     ordinary = np.delete(plane, chosen, axis=0)

@@ -12,7 +12,7 @@ from varcodes.errors import (
     NotPrime,
     NotQuadraticExtension,
 )
-from varcodes.gf import GF, field
+from varcodes.gf import _MR_EXACT_BELOW, GF, field, is_prime, prime_power
 
 AXIOM_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64]
 
@@ -58,6 +58,52 @@ def test_degree_zero_rejected():
 def test_field_too_large():
     with pytest.raises(FieldTooLarge):
         GF(2, 17)
+
+
+def _trial_prime_power(q):
+    # Reference: the least divisor of q is prime, and q must be a power of it.
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(-2, 5000):
+        try:
+            got = prime_power(q)
+        except NotPrime:
+            got = None
+        assert got == (_trial_prime_power(q) if q >= 2 else None), q
+    for p in (43, 47, 65521, 1000003, 2**61 - 1):
+        for e in (1, 2, 3, 6, 12):
+            assert prime_power(p**e) == (p, e)
+            with pytest.raises(NotPrime):
+                prime_power(p**e * 2)
+            # No factor up to 41: decided by Miller-Rabin within its exact range.
+            composite = p**e * 53
+            with pytest.raises(NotPrime if composite < _MR_EXACT_BELOW else FieldTooLarge):
+                prime_power(composite)
+    assert prime_power(2**14000) == (2, 14000)
+    assert prime_power(43**2500) == (43, 2500)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # Strong pseudoprimes to every prime base up to 7, 23 and 37 in turn.
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    assert [n for n in range(200) if is_prime(n)] == [
+        n for n in range(2, 200) if all(n % d for d in range(2, n))
+    ]
+
+
+def test_is_prime_refuses_past_its_exact_range():
+    with pytest.raises(FieldTooLarge):
+        is_prime(2**127 - 1)
+    assert not is_prime(2**127)  # a factor up to 41 still decides
 
 
 def test_fermat_little_theorem_gf5():

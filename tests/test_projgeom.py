@@ -69,7 +69,7 @@ def test_monomial_order_graded_lex():
 
 def test_evaluate_linear_form():
     F = GF(2)
-    f = Form.linear(F, (1, 0, 0))
+    f = Form.from_coeff_vector(F, enumerate_monomials(2, 1), (1, 0, 0))
     assert evaluate_forms([f], [(1, 1, 1)])[0, 0] == 1
 
 
@@ -89,7 +89,7 @@ def test_evaluate_hyperbolic_vertex():
 
 def test_evaluate_dimension_mismatch():
     F = GF(2)
-    f = Form.linear(F, (1, 0))
+    f = Form.from_coeff_vector(F, enumerate_monomials(1, 1), (1, 0))
     with pytest.raises(DimensionMismatch):
         evaluate_forms([f], [(1, 0, 0)])
 
@@ -148,7 +148,8 @@ def test_evaluate_forms_matches_naive_products(data):
 def _hyperplanes(m, F):
     # One linear form per hyperplane of P^m: its coefficients are a point of
     # the dual space.
-    return [Form.linear(F, coeffs) for coeffs in enumerate_projective_points(m, F)]
+    monos = enumerate_monomials(m, 1)
+    return [Form.from_coeff_vector(F, monos, c) for c in enumerate_projective_points(m, F)]
 
 
 def test_hyperplane_counts():

@@ -12,7 +12,7 @@ import pytest
 
 from varcodes import cli
 from varcodes.codes import LinearCode, code_from_descriptor
-from varcodes.errors import InternalError, InvalidParams
+from varcodes.errors import DimensionMismatch, InternalError, InvalidParams
 from varcodes.gf import GF, field
 from varcodes.varieties import VarietyDescriptor
 
@@ -75,26 +75,32 @@ def _artifact(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit,error",
     [
-        lambda d: d["point_labels"].pop(),
-        lambda d: d.update(n=999, k=1),
-        lambda d: d.pop("generator"),
-        lambda d: d["generator"].append(d["generator"][0]),
-        lambda d: d.update(generator=[]),
-        lambda d: d.update(field={"p": "2", "e": 2}),
-        lambda d: d["field"].update(q=16),
-        lambda d: d.update(point_labels=[0] * d["n"]),
-        lambda d: d["generator"][-1].__setitem__(-1, 4),  # GF(4) has indices 0..3
+        (lambda d: d["point_labels"].pop(), InvalidParams),
+        (lambda d: d.update(n=999, k=1), InvalidParams),
+        (lambda d: d.pop("generator"), InvalidParams),
+        (lambda d: d["generator"].append(d["generator"][0]), InvalidParams),
+        (lambda d: d.update(generator=[]), InvalidParams),
+        (lambda d: d.update(field={"p": "2", "e": 2}), InvalidParams),
+        (lambda d: d["field"].update(q=16), InvalidParams),
+        (lambda d: d.update(point_labels=[0] * d["n"]), InvalidParams),
+        (lambda d: d["generator"][-1].__setitem__(-1, 4), InvalidParams),  # GF(4): 0..3
+        # Entries past the uint8 index dtype, or no array dtype at all.
+        (lambda d: d["generator"][0].__setitem__(0, 256), InvalidParams),
+        (lambda d: d["generator"][0].__setitem__(0, -1), InvalidParams),
+        (lambda d: d["generator"][0].__setitem__(0, 2**70), InvalidParams),
+        (lambda d: d["generator"][0].pop(), DimensionMismatch),
+        (lambda d: d["generator"].__setitem__(-1, []), DimensionMismatch),
     ],
     ids=[
         "labels", "n-k", "no-generator", "rank", "empty", "field", "field-q", "label-kind",
-        "generator-entry",
+        "generator-entry", "entry-256", "entry-negative", "entry-2**70", "ragged", "empty-row",
     ],
 )
-def test_inconsistent_artifacts_rejected(tmp_path, capsys, edit):
+def test_inconsistent_artifacts_rejected(tmp_path, capsys, edit, error):
     data, path = _artifact(tmp_path, capsys, edit)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(error):
         LinearCode.from_dict(data)
     rc, _, err = run(capsys, "analyze", str(path))
     assert rc == 2 and "input error" in err
@@ -147,3 +153,29 @@ def test_invariants_survive_optimize_flag():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert result.stdout.strip() == "caught", result.stderr
+
+
+def test_huge_orders_answer_at_once():
+    # Trial division up to sqrt(q) does not end for q = 10^18 + 3 (a prime),
+    # so a regression would hang: run the CLI in a subprocess with a timeout.
+    q = 10**18 + 3
+    line = '{"family":"projective_space","m":1}'
+    cases = [
+        (["field", str(q)], 2),  # past the field cap
+        (["field", "2", "100000000000"], 2),  # p^e past the cap, never built
+        (["points", line, "--q", str(q)], 2),
+        (["predict", line, "--q", str(q)], 0),  # closed forms need no field
+        (["bound", "griesmer", json.dumps({"n": 10, "k": 3, "q": q})], 0),
+        (["predict", line, "--q", str(10**4000 + 1)], 2),  # past the primality test
+    ]
+    code = (
+        "import sys\nfrom varcodes import cli\n"
+        f"for argv in {[argv for argv, _ in cases]!r}:\n"
+        "    print('rc', cli.main(argv), file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    rcs = [int(line[3:]) for line in result.stderr.splitlines() if line.startswith("rc ")]
+    assert rcs == [rc for _, rc in cases], result.stderr
+    assert "p^e = 2^100000000000 exceeds the cap 65536" in result.stderr

@@ -20,7 +20,12 @@ from varcodes.errors import (
 from varcodes.families import build_point_set, check_descriptor
 from varcodes.gf import GF
 from varcodes.linalg import Matrix, rank
-from varcodes.projgeom import Form, enumerate_projective_points, evaluate_forms
+from varcodes.projgeom import (
+    Form,
+    enumerate_monomials,
+    enumerate_projective_points,
+    evaluate_forms,
+)
 from varcodes.varieties import (
     VarietyDescriptor,
     classify_quadric,
@@ -108,7 +113,7 @@ def test_classify_double_hyperplane():
 
 def test_classify_rejects_non_quadratic():
     with pytest.raises(NotQuadratic):
-        classify_quadric(Form.linear(F2, (1, 0, 0)))
+        classify_quadric(Form.from_coeff_vector(F2, enumerate_monomials(2, 1), (1, 0, 0)))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -165,7 +170,7 @@ def test_hermitian_count_meets_weil_upper_bound():
 
 
 def test_zero_locus_of_coordinate_on_line():
-    f = Form.linear(F2, (1, 0))
+    f = Form.from_coeff_vector(F2, enumerate_monomials(1, 1), (1, 0))
     assert len(hypersurface_points(f)) == 1
 
 
@@ -452,7 +457,10 @@ def test_complete_intersection_two_conics():
 def test_complete_intersection_degenerate_warns():
     with pytest.warns(UserWarning):
         complete_intersection_points(
-            [Form.linear(F5, (0, 1, 0)), Form(F5, 2, 2, {(1, 1, 0): 1})]
+            [
+                Form.from_coeff_vector(F5, enumerate_monomials(2, 1), (0, 1, 0)),
+                Form(F5, 2, 2, {(1, 1, 0): 1}),
+            ]
         )
 
 
@@ -525,7 +533,7 @@ def _line_through(fld, a, b):
 
     _, ker = rank_and_kernel(Matrix(fld, [list(a), list(b)]))
     assert ker.nrows == 1
-    return tuple(ker.rows[0])
+    return tuple(ker.rows[0].tolist())
 
 
 def _product_form(f, g):
@@ -562,9 +570,8 @@ def test_delpezzo_triangle_section_zero_count():
         if p not in (p1, p2, x1) and not on_line(l12, p) and not on_line(l1, p)
     )
     l2 = _line_through(F5, p2, x2)
-    cubic = _product_form(
-        _product_form(Form.linear(F5, l12), Form.linear(F5, l1)), Form.linear(F5, l2)
-    )
+    f12, f1, f2 = (Form.from_coeff_vector(F5, enumerate_monomials(2, 1), l) for l in (l12, l1, l2))
+    cubic = _product_form(_product_form(f12, f1), f2)
     assert evaluate_forms([cubic], [p1, p2]).tolist() == [[0, 0]]
 
     zeros = 0
