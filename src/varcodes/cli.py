@@ -49,11 +49,17 @@ BOUND_COMMANDS = {
 
 
 def _load_json_arg(arg: str):
-    """Inline JSON, or @path to read it from a file."""
-    if arg.startswith("@"):
-        with open(arg[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(arg)
+    """Inline JSON, or @path to read it from a file.
+
+    Every ValueError is bad input: a JSONDecodeError, the bare ValueError of an
+    integer past Python's int-string digit limit, or a file that is not UTF-8."""
+    try:
+        if arg.startswith("@"):
+            with open(arg[1:], "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(arg)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _write_text(text: str, out_path: str | None):
@@ -97,8 +103,7 @@ def cmd_build(args) -> int:
 
 
 def _load_code(path: str) -> LinearCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return LinearCode.from_dict(json.load(fh))
+    return LinearCode.from_dict(_load_json_arg("@" + path))
 
 
 def cmd_analyze(args) -> int:
@@ -108,19 +113,15 @@ def cmd_analyze(args) -> int:
         task = task.strip()
         t0 = time.perf_counter()
         if task == "d":
-            report["d"] = min_distance(code, args.budget, args.workers)
+            report["d"] = min_distance(code, args.budget)
         elif task == "wdist":
-            report["weight_distribution"] = weight_distribution(
-                code, args.budget, args.workers
-            ).to_dict()
+            report["weight_distribution"] = weight_distribution(code, args.budget).to_dict()
         elif task.startswith("ghw:"):
             r = task.split(":", 1)[1]
             if not r.isdecimal():
                 raise InputError(f"ghw task needs a rank ghw:R, got {task!r}")
             r = int(r)
-            report.setdefault("ghw", {})[str(r)] = ghw(
-                code, r, args.budget, args.workers
-            )
+            report.setdefault("ghw", {})[str(r)] = ghw(code, r, args.budget)
         else:
             raise InputError(f"unknown analysis task {task!r}")
         print(f"{task}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
@@ -153,14 +154,14 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _compare_row(entry: dict, budget: int, workers: int) -> dict:
+def _compare_row(entry: dict, budget: int) -> dict:
     desc = VarietyDescriptor.from_dict(entry["descriptor"])
     h = entry.get("h", 1)
     q = entry["q"]
     row = {"family": desc.label(), "q": q, "h": h}
     code = code_from_descriptor(desc, h, GF.from_order(q))
     row["n"], row["k"] = code.n, code.k
-    row["d"] = min_distance(code, budget, workers)
+    row["d"] = min_distance(code, budget)
     try:
         pred = predict(desc, h, q)
         row["d_predicted"] = pred.d
@@ -202,7 +203,7 @@ def cmd_compare(args) -> int:
     rows = []
     for entry in entries:
         try:
-            rows.append(_compare_row(entry, args.budget, args.workers))
+            rows.append(_compare_row(entry, args.budget))
         except (InputError, BudgetExceeded) as exc:
             rows.append({"family": str(entry.get("descriptor")), "error": str(exc)})
     if args.format == "json":
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("artifact")
     p.add_argument("--tasks", default="d", help="comma list: d, wdist, ghw:R")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="ignored; goes once the bench drops it")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_analyze)
 
@@ -289,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="measured vs predicted vs bounds table")
     p.add_argument("specs", help="JSON list of {descriptor, h, q} (inline or @file)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["json", "csv", "table"], default="table")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_compare)
@@ -314,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (InputError, json.JSONDecodeError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:

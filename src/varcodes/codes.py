@@ -9,15 +9,10 @@ words, OR'ed and counted with np.bitwise_count.  The r = 1 subcodes are
 the scalar classes of nonzero codewords, so the minimum distance and the
 weight distribution are reductions over r = 1, and the r-th generalized
 Hamming weight is the minimum over rank r.
-
-The work is split into blocks, one table lookup each, that worker threads
-may share; the reductions (min, histogram sum) do not depend on the order,
-so results are identical to the sequential scan.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import product
@@ -98,10 +93,6 @@ class LinearCode:
     @property
     def k(self) -> int:
         return self.generator.nrows
-
-    def params(self) -> str:
-        d = f",{self._d}" if self._d is not None else ""
-        return f"[{self.n},{self.k}{d}]_{self.field.q}"
 
     def has_zero_column(self) -> bool:
         return not self.generator.rows.any(axis=0).all()
@@ -218,7 +209,7 @@ def code_from_descriptor(
 BLOCK = 1 << 20  # field elements in one table of the enumeration
 
 
-def _enumerate(code: LinearCode, r: int, fold, workers: int) -> list:
+def _enumerate(code: LinearCode, r: int, fold) -> list:
     """fold(support sizes) over every block of the r-dimensional subcodes.
 
     A subcode is the row space of one RREF message matrix: row i is
@@ -267,8 +258,7 @@ def _enumerate(code: LinearCode, r: int, fold, workers: int) -> list:
             sup = pack(add(g[pivots[row]], span(tuple(c for i, c in tail if i == row))) != 0)
             mask = (mask[:, None] | sup[None]).reshape(-1, nwords)
         mults = {c: multiples(g[c]) for _, c in head}
-
-        def step(xs):
+        for xs in product(range(q), repeat=len(head)):
             rows = list(g[list(pivots[: j + 1])])
             for (i, c), x in zip(head, xs):
                 rows[i] = add(rows[i], mults[c][x])
@@ -280,14 +270,10 @@ def _enumerate(code: LinearCode, r: int, fold, workers: int) -> list:
                 packed = (fixed[:, None] | packed).reshape(-1, nwords)
             # One row per word: summing whole rows is faster than short rows.
             counts = np.bitwise_count(packed.T, order="C")
-            return fold(counts[0] if nwords == 1 else counts.sum(axis=0, dtype=np.intp))
-
-        return step, product(range(q), repeat=len(head))
+            yield fold(counts[0] if nwords == 1 else counts.sum(axis=0, dtype=np.intp))
 
     try:
-        with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-            run = pool.map if workers > 1 else map
-            return [out for pattern in pivot_patterns(r, code.k) for out in run(*blocks(*pattern))]
+        return [out for pattern in pivot_patterns(r, code.k) for out in blocks(*pattern)]
     finally:
         span.cache_clear()
 
@@ -301,22 +287,26 @@ def _check_budget(code: LinearCode, r: int, budget: int, what: str) -> None:
 def min_distance(
     code: LinearCode, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> int:
-    """Exact minimum distance: the least weight over the scalar classes."""
+    """Exact minimum distance: the least weight over the scalar classes.
+
+    Ignores workers: the scan is sequential (the benchmark still passes it)."""
     if code._d is None:
         _check_budget(code, 1, budget, "minimum distance enumeration")
-        code._d = int(min(_enumerate(code, 1, np.min, workers)))
+        code._d = int(min(_enumerate(code, 1, np.min)))
     return code._d
 
 
 def weight_distribution(
     code: LinearCode, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> WeightEnumerator:
-    """Exact weight enumerator: the scalar-class histogram times q - 1, plus 0."""
+    """Exact weight enumerator: the scalar-class histogram times q - 1, plus 0.
+
+    Ignores workers: the scan is sequential (the benchmark still passes it)."""
     if code._wdist is not None:
         return code._wdist
     q, n = code.field.q, code.n
     _check_budget(code, 1, budget, "weight distribution enumeration")
-    hist = (q - 1) * sum(_enumerate(code, 1, lambda w: np.bincount(w, minlength=n + 1), workers))
+    hist = (q - 1) * sum(_enumerate(code, 1, lambda w: np.bincount(w, minlength=n + 1)))
     hist[0] += 1
     invariant(int(hist.sum()) == q**code.k, "weight enumerator normalization failed")
     counts = {w: int(c) for w, c in enumerate(hist) if c}
@@ -329,11 +319,13 @@ def weight_distribution(
 def ghw(
     code: LinearCode, r: int, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> int:
-    """r-th generalized Hamming weight: the least support of an r-dim subcode."""
+    """r-th generalized Hamming weight: the least support of an r-dim subcode.
+
+    Ignores workers: the scan is sequential (the benchmark still passes it)."""
     if not 1 <= r <= code.k:
         raise InvalidParams(f"need 1 <= r <= k = {code.k}, got {r}")
     _check_budget(code, r, budget, "subspace enumeration")
-    return int(min(_enumerate(code, r, np.min, workers)))
+    return int(min(_enumerate(code, r, np.min)))
 
 
 def eckardt_detect(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:

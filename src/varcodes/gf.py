@@ -180,6 +180,7 @@ class GF:
                 self._table = self._digitwise(a, b, 1).astype(np.uint8)  # a + b at a * q + b
                 self._table.flags.writeable = False
                 self._sum = self._table.reshape(q, q).tolist()  # the same table, for scalars
+        self._ops = self._make_array_ops()
 
     # -- construction helpers ------------------------------------------------
 
@@ -276,14 +277,17 @@ class GF:
     def array_ops(self) -> SimpleNamespace:
         """Elementwise operations on numpy arrays of element indices.
 
-        The namespace holds dtype, the index dtype, and these operations,
-        which broadcast and return arrays of that dtype:
+        The namespace, built once per field, holds dtype, the index dtype, and
+        these operations, which broadcast and return arrays of that dtype:
           add(a, b), neg(a) and mul(a, b);
           pow(a, n): a^n for integers n >= 0 (an int or an int array), with
             0^0 = 1 and 0^n = 0 for n > 0;
           multiples(u): every scalar multiple of the vector u, one per row:
             0 first, then g^i * u for i = 0, ..., q - 2.
         """
+        return self._ops
+
+    def _make_array_ops(self) -> SimpleNamespace:
         q, dtype, table = self.q, self._dtype, self._table
         exp, log = self._exp_array, self._log_array
         if self.p == 2:

@@ -203,12 +203,17 @@ def test_workers_and_budget_must_be_positive(tmp_path, capsys):
     artifact = tmp_path / "code.json"
     run(capsys, "build", '{"family":"projective_space","m":2}', "--q", "2", "--out", str(artifact))
     specs = '[{"descriptor":{"family":"projective_space","m":2},"q":2}]'
-    for command in (["analyze", str(artifact)], ["compare", specs]):
-        for flag, value in (("--workers", "0"), ("--workers", "-3"), ("--budget", "0"),
-                            ("--budget", "-1")):
+    bad = (("--workers", "0"), ("--workers", "-3"), ("--budget", "0"), ("--budget", "-1"))
+    for command, flags in ((["analyze", str(artifact)], bad), (["compare", specs], bad[2:])):
+        for flag, value in flags:
             rc, out, err = run(capsys, *command, flag, value)
             assert (rc, out) == (2, "")
             assert f"{flag} must be >= 1, got {value}" in err
+    # compare has no --workers: argparse rejects it.
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", specs, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def _form(terms, degree):

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import threading
 import tracemalloc
 from functools import reduce
 from itertools import combinations, product
@@ -199,12 +200,17 @@ def test_column_rescale_leaves_parameters_invariant():
     assert weight_distribution(scaled).counts == weight_distribution(base).counts
 
 
-def test_workers_match_sequential():
+def test_workers_match_sequential(monkeypatch):
+    # workers is ignored: the engine is one sequential scan and starts no thread.
+    def no_thread(self):
+        raise AssertionError("the enumeration started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     code = _code("hermitian", {"m": 3, "r": 2}, 1, F4)
-    seq = min_distance(code)
     code2 = _code("hermitian", {"m": 3, "r": 2}, 1, F4)
-    assert min_distance(code2, workers=3) == seq
+    assert min_distance(code2, workers=3) == min_distance(code)
     assert weight_distribution(code2, workers=3).counts == weight_distribution(code).counts
+    assert ghw(code2, 2, workers=3) == ghw(code, 2)
 
 
 def test_extension_field_engine_matches_naive_enumeration():
@@ -642,8 +648,3 @@ def test_eckardt_dichotomy_on_second_field():
     q = 8
     assert d in (q * q + 4 * q, q * q + 4 * q + 1)
     assert eckardt_detect(code) == (d == q * q + 4 * q)
-
-
-def test_ghw_workers_match_sequential():
-    code = _code("grassmann", {"l": 2, "m": 4}, 1, F2)
-    assert ghw(code, 2, workers=3) == ghw(code, 2)

@@ -201,6 +201,7 @@ def test_array_mul_neg_pow_match_polynomial_arithmetic(q):
     # q = 729), _pow_raw (square and multiply by _mul_raw) for powers, and negation digit by digit.
     F = GF.from_order(q)
     ops = F.array_ops()
+    assert F.array_ops() is ops  # built once, at construction
     if q <= 256:
         a, b = np.divmod(np.arange(q * q), q)
     else:

@@ -17,6 +17,9 @@ from varcodes.gf import GF, field
 from varcodes.varieties import VarietyDescriptor
 
 
+BIG = "1" + "0" * 4400
+
+
 def run(capsys, *argv):
     rc = cli.main(list(argv))
     out = capsys.readouterr()
@@ -50,9 +53,23 @@ def run(capsys, *argv):
         (["bound", "counts", '{"family":"flag","m":3,"q":1}'], "1 is not a prime power"),
         (["bound", "counts", '{"family":"flag","q":2}'], "missing a required argument: 'm'"),
         (["bound", "counts", '{"family":["flag"],"m":3,"q":2}'], "unknown count family"),
+        # Integers past Python's 4300-digit int-string limit, inline and in files
+        # ({big} holds one), and a file that is not UTF-8 ({latin1}).
+        (["bound", "griesmer", '{"n":10,"k":3,"q":%s}' % BIG], "4300 digits"),
+        (["predict", '{"family":"projective_space","m":%s}' % BIG, "--q", "2"], "4300 digits"),
+        (["compare", '[{"descriptor":{"family":"projective_space","m":2},"q":%s}]' % BIG],
+         "4300 digits"),
+        (["build", "@{big}", "--q", "2"], "4300 digits"),
+        (["analyze", "{big}"], "4300 digits"),
+        (["export", "{big}"], "4300 digits"),
+        (["analyze", "{latin1}"], "can't decode"),
     ],
 )
-def test_bad_input_exits_2_with_a_message(capsys, argv, message):
+def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv, message):
+    big, latin1 = tmp_path / "big.json", tmp_path / "latin1.json"
+    big.write_text('{"n":%s}' % BIG)
+    latin1.write_bytes('{"point_labels":["é"]}'.encode("latin-1"))
+    argv = [a.replace("{big}", str(big)).replace("{latin1}", str(latin1)) for a in argv]
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
