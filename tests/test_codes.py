@@ -210,7 +210,6 @@ def test_workers_match_sequential(monkeypatch):
     code2 = _code("hermitian", {"m": 3, "r": 2}, 1, F4)
     assert min_distance(code2, workers=3) == min_distance(code)
     assert weight_distribution(code2, workers=3).counts == weight_distribution(code).counts
-    assert ghw(code2, 2, workers=3) == ghw(code, 2)
 
 
 def test_extension_field_engine_matches_naive_enumeration():
@@ -648,3 +647,12 @@ def test_eckardt_dichotomy_on_second_field():
     q = 8
     assert d in (q * q + 4 * q, q * q + 4 * q + 1)
     assert eckardt_detect(code) == (d == q * q + 4 * q)
+
+
+def test_ghw_workers_match_sequential(monkeypatch):
+    def no_thread(self):
+        raise AssertionError("the ghw enumeration started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    code = _code("grassmann", {"l": 2, "m": 4}, 1, F2)
+    assert ghw(code, 2, workers=3) == ghw(code, 2)
