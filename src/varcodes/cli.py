@@ -143,7 +143,8 @@ def cmd_bound(args) -> int:
     else:
         fn = BOUND_COMMANDS[args.name]
         check_arguments(fn, params)
-        report = fn(**params)
+        # Looked up now, so that a rebinding of the bounds module applies.
+        report = getattr(bounds, fn.__name__)(**params)
     _emit(report.to_dict(), args.out)
     return 0
 

@@ -62,9 +62,6 @@ class WeightEnumerator:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def min_weight(self) -> int:
-        return min(w for w, c in self.counts.items() if c and w > 0)
-
     def to_dict(self) -> dict:
         return {str(w): self.counts[w] for w in sorted(self.counts) if self.counts[w]}
 
@@ -93,9 +90,6 @@ class LinearCode:
     @property
     def k(self) -> int:
         return self.generator.nrows
-
-    def has_zero_column(self) -> bool:
-        return not self.generator.rows.any(axis=0).all()
 
     def to_dict(self) -> dict:
         return {

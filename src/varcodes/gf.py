@@ -40,7 +40,6 @@ from .errors import (
     InternalError,
     InvalidParams,
     NotPrime,
-    NotQuadraticExtension,
     invariant,
 )
 
@@ -261,12 +260,6 @@ class GF:
                 raise DivisionByZero("0 has no negative powers")
             return 0
         return self.exp[(self.log[a] * n) % (self.q - 1)]
-
-    def conjugate(self, a: int, r: int) -> int:
-        """The involution a -> a^r of GF(r^2); requires q = r^2."""
-        if self.q != r * r:
-            raise NotQuadraticExtension(f"GF({self.q}) is not GF({r}^2)")
-        return self.pow(a, r)
 
     def scalar(self, n: int) -> int:
         """Image of the integer n in the prime subfield."""

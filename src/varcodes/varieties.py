@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cache, reduce
 from itertools import combinations, compress
+from operator import or_
 from typing import Any
 
 import numpy as np
@@ -71,10 +72,6 @@ class PointSet:
     def __post_init__(self):
         if len(self.labels) != len(self.points):
             raise DimensionMismatch("labels and points must have equal length")
-
-    def proportional_pairs(self) -> bool:
-        """True if two columns are projectively equal (invariant violation)."""
-        return len({canonicalize(self.field, p) for p in self.points.tolist()}) < len(self)
 
     def to_dict(self) -> dict:
         return {
@@ -241,6 +238,7 @@ def grassmann_points(l: int, m: int, fld: GF) -> PointSet:
     all bases of one pattern are computed in one batch.
     """
     dtype = fld.array_ops().dtype
+    label = "span[" + ", ".join(["[" + ", ".join(["{}"] * m) + "]"] * l) + "]"
     coords, labels = [], []
     for pivots, free in pivot_patterns(l, m):
         reps = np.zeros((fld.q ** len(free), l, m), dtype)
@@ -249,7 +247,7 @@ def grassmann_points(l: int, m: int, fld: GF) -> PointSet:
             rows, cols = zip(*free)
             reps[:, rows, cols] = np.indices((fld.q,) * len(free)).reshape(len(free), -1).T
         coords.append(maximal_minors(fld, reps))
-        labels += ["span" + str(rep) for rep in reps.tolist()]
+        labels += map(label.format, *reps.reshape(len(reps), -1).T.tolist())
     coords = np.concatenate(coords)
     lead = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
     invariant(bool((lead == 1).all()), "pivot minor should lead")
@@ -307,6 +305,11 @@ def _general_position_select(l: int, fld: GF) -> list[int]:
     a line through two chosen points are skipped.  Five points, no three
     collinear, lie on one conic, and a sixth lies on it iff the six points'
     degree-2 monomials are dependent.
+
+    For l = 6 existence is decided first: PGL(3, q) is transitive on frames,
+    so six such points exist iff two more complete the frame (1:0:0), (0:1:0),
+    (0:0:1), (1:1:1).  That settles GF(5), where every 6-arc is a conic
+    (Segre), in a few steps instead of after every 5-arc.
     """
     plane = enumerate_projective_points(2, fld)
     points = plane.tolist()
@@ -342,7 +345,12 @@ def _general_position_select(l: int, fld: GF) -> list[int]:
             chosen.pop()
         return False
 
-    if not search(0, 0):
+    exists = True
+    if l == 6:
+        chosen[:] = [index[p] for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
+        exists = search(0, reduce(or_, (line_through(a, b) for a, b in combinations(chosen, 2))))
+        chosen.clear()
+    if not (exists and search(0, 0)):
         raise GeneralPositionFailure(
             f"no {l} points of P^2(F_{fld.q}) in general position found"
         )

@@ -262,7 +262,7 @@ def test_c10_generalized_hamming_weights(registry):
     swept = 0
     for name, case in registry.items():
         code = case.code
-        if code.has_zero_column():
+        if not code.generator.rows.any(axis=0).all():  # a zero column
             continue
         computed = []
         for r in range(1, code.k + 1):

@@ -123,7 +123,7 @@ def test_min_distance_equals_weight_support_min():
         _code("projective_space", {"m": 2}, 2, F3),
     ):
         wd = weight_distribution(code)
-        assert min_distance(code) == wd.min_weight()
+        assert min_distance(code) == min(w for w, c in wd.counts.items() if c and w > 0)
 
 
 def test_ghw_simplex():
@@ -158,7 +158,7 @@ def test_ghw_against_exhaustive_subcode_oracle():
 
 def test_ghw_top_rank_is_n_without_zero_columns():
     code = _code("projective_space", {"m": 2}, 1, F2)
-    assert not code.has_zero_column()
+    assert code.generator.rows.any(axis=0).all()  # no zero column
     assert ghw(code, code.k) == code.n
 
 
@@ -596,7 +596,7 @@ def test_veronese_reembedding_equivalence():
     veronese = PointSet(
         fld, len(monos) - 1, np.array(images, fld.array_ops().dtype), [str(p) for p in images]
     )
-    assert not veronese.proportional_pairs()
+    assert len(set(images)) == len(images)  # no two columns proportional
     c1 = build_evaluation_code(veronese, h=1)
     c2 = _code("projective_space", {"m": 2}, 2, fld)
     assert (c1.n, c1.k) == (c2.n, c2.k)

@@ -21,4 +21,5 @@ def test_tracer_names_resolve_and_are_restored(capsys):
         assert cli.main(["bound", "griesmer", '{"n":10,"k":3,"q":2}']) == 0
     capsys.readouterr()
     assert tracer.summary()["spans.cli.main"] == 1
+    assert tracer.summary()["spans.bounds.griesmer"] == 1
     assert (cli.main, codes.min_distance, codes.LinearCode.from_dict, gf.GF.__init__) == originals

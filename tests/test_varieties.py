@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement, compress, pro
 import numpy as np
 import pytest
 
-from varcodes import bounds
+from varcodes import bounds, varieties
 from varcodes.errors import (
     DimensionMismatch,
     EmptyPolytope,
@@ -22,6 +22,7 @@ from varcodes.gf import GF
 from varcodes.linalg import Matrix, rank
 from varcodes.projgeom import (
     Form,
+    canonicalize,
     enumerate_monomials,
     enumerate_projective_points,
     evaluate_forms,
@@ -46,6 +47,12 @@ from varcodes.varieties import (
 F2, F3, F4, F5, F7, F8, F9 = (
     GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2),
 )
+F11, F13 = GF(11), GF(13)
+
+
+def _proportional_pairs(pts) -> bool:
+    """True if two columns of the point set are projectively equal."""
+    return len({canonicalize(pts.field, p) for p in pts.points.tolist()}) < len(pts)
 
 
 # -- quadrics -------------------------------------------------------------------
@@ -182,7 +189,7 @@ def test_grassmann_counts(q, expected):
     pts = grassmann_points(2, 4, GF.from_order(q))
     assert len(pts) == expected
     assert pts.ambient == 5
-    assert not pts.proportional_pairs()
+    assert not _proportional_pairs(pts)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -248,6 +255,13 @@ def _reps(l, m, fld):
     # The RREF basis of each subspace, read back from the point labels.
     labels = grassmann_points(l, m, fld).labels
     return [tuple(map(tuple, json.loads(label.removeprefix("span")))) for label in labels]
+
+
+@pytest.mark.parametrize("l, m, q", [(1, 3, 4), (2, 4, 3), (3, 6, 2)])
+def test_grassmann_labels_are_str_of_each_basis(l, m, q):
+    # The labels are formatted in one pass; each must read as "span" + str(basis).
+    for label in grassmann_points(l, m, GF.from_order(q)).labels:
+        assert label == "span" + str(json.loads(label.removeprefix("span")))
 
 
 def test_schubert_full_alpha_is_whole_grassmannian():
@@ -354,12 +368,17 @@ _BASE_POINTS = {
     7: [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 2, 3), (1, 2, 4)],
     8: [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 2, 4), (1, 2, 6)],
     9: [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 2, 3), (1, 2, 4)],
+    11: [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 2, 3), (1, 2, 4)],
+    13: [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 2, 3), (1, 2, 4)],
 }
+_DELPEZZO_FIELDS = (F5, F7, F8, F9, F11, F13)
 
 
+# With test_delpezzo_six_points_impossible_over_gf5 this pins all 42 cases
+# l = 0..6 over the fields above.
 @pytest.mark.parametrize(
     "l,fld",
-    [(l, F) for F in (F5, F7, F8, F9) for l in range(1, 7) if (l, F.q) != (6, 5)],
+    [(l, F) for F in _DELPEZZO_FIELDS for l in range(7) if (l, F.q) != (6, 5)],
     ids=lambda v: str(v.q) if isinstance(v, GF) else str(v),
 )
 def test_delpezzo_counts_and_separation(l, fld):
@@ -381,21 +400,39 @@ def test_delpezzo_counts_and_separation(l, fld):
         ]
         assert rank(Matrix(fld, veronese)) == 6
     # columns pairwise non-proportional (directions separate, points separate)
-    assert not pts.proportional_pairs()
+    assert not _proportional_pairs(pts)
 
 
 def test_delpezzo_six_points_impossible_over_gf5():
     # Every 6-arc of PG(2,5) lies on a conic (it is an oval, hence a conic),
     # so the no-conic condition is unsatisfiable and the search must fail.
-    with pytest.raises(GeneralPositionFailure):
+    with pytest.raises(GeneralPositionFailure) as exc:
         delpezzo_points(6, F5)
+    assert str(exc.value) == "no 6 points of P^2(F_5) in general position found"
+
+
+@pytest.mark.parametrize("fld", _DELPEZZO_FIELDS, ids=lambda F: str(F.q))
+def test_six_point_search_decides_on_the_frame(fld, monkeypatch):
+    # Existence is decided on the standard frame first, so l = 6 needs a few
+    # conic tests at every q, also where it fails (an exhaustive search over
+    # GF(5) reaches 3,100 five-arcs, one det each).
+    calls = []
+    det = varieties.det
+    monkeypatch.setattr(varieties, "det", lambda M: calls.append(1) or det(M))
+    try:
+        base = varieties._general_position_select(6, fld)
+    except GeneralPositionFailure:
+        assert fld.q == 5
+    else:
+        assert len(base) == 6
+    assert 0 < len(calls) <= 10
 
 
 def test_delpezzo_six_points_exist_over_gf7():
     pts, basis, base = delpezzo_points(6, F7)
     assert len(pts) == 57 + 42 == 99
     assert len(basis) == 4
-    assert not pts.proportional_pairs()
+    assert not _proportional_pairs(pts)
 
 
 def test_delpezzo_small_field_rejected():
@@ -524,7 +561,7 @@ def test_point_set_invariants_across_families(q):
         assert s.points.shape == (len(s), s.ambient + 1)
         assert s.points.dtype == dtype
         assert (s.points < q).all()
-        assert not s.proportional_pairs()
+        assert not _proportional_pairs(s)
         assert len(s.labels) == len(s)
 
 
