@@ -70,8 +70,33 @@ def _write_text(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    With indent= the json module falls back to its pure-Python encoder; here
+    only the containers are walked in Python, and a list of plain ints (a
+    generator row) is one join.  pad is the newline and indent before a
+    closing bracket.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and set(map(type, obj)) <= {str}:
+        left, right = "{}"
+        items = (f"{json.dumps(key)}: {_dumps(obj[key], inner)}" for key in sorted(obj))
+    elif isinstance(obj, (list, tuple)):
+        left, right = "[]"
+        ints = set(map(type, obj)) <= {int}
+        items = map(str, obj) if ints else (_dumps(x, inner) for x in obj)
+    elif isinstance(obj, dict):  # keys that json itself converts to strings
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return left + right
+    return left + inner + ("," + inner).join(items) + pad + right
+
+
 def _emit(payload, out_path: str | None):
-    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+    _write_text(_dumps(payload) + "\n", out_path)
 
 
 def cmd_field(args) -> int:

@@ -1,6 +1,6 @@
 """Evaluation codes and exact parameter measurement.
 
-One exact integer enumeration measures everything: it walks the RREF pivot
+Two exact engines measure everything.  The bit engine walks the RREF pivot
 patterns of r x k message matrices, so each r-dimensional subcode is met
 once, and reports the support size of every subcode.  Codewords are numpy
 vectors of field elements, added and scaled by GF.array_ops.  The tables of
@@ -9,13 +9,22 @@ words, OR'ed and counted with np.bitwise_count.  The r = 1 subcodes are
 the scalar classes of nonzero codewords, so the minimum distance and the
 weight distribution are reductions over r = 1, and the r-th generalized
 Hamming weight is the minimum over rank r.
+
+Over GF(q) with q <= 7 the scalar classes instead go through BLAS float32
+products of one-hot rows (_class_weights): a weight is the number of
+positions where the two halves of a message disagree (n minus a hyperplane
+section), and one product counts them for a whole block of classes.  Its cost grows with q (2q flops per class and position), so from
+GF(8) on, and for r >= 2, the bit engine runs.  Both engines count every
+class once, so the budget estimate n * [k choose r]_q describes either.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import product
+from math import isqrt
 
 import numpy as np
 
@@ -200,11 +209,11 @@ def code_from_descriptor(
 
 # -- the enumeration engine ---------------------------------------------------------
 
-BLOCK = 1 << 20  # field elements in one table of the enumeration
+BLOCK = 1 << 20  # field elements in one bit-engine table; the products take BLOCK // 4 floats
 
 
-def _enumerate(code: LinearCode, r: int, fold) -> list:
-    """fold(support sizes) over every block of the r-dimensional subcodes.
+def _enumerate(code: LinearCode, r: int, fold) -> Iterator:
+    """fold(support sizes) of every block of the r-dimensional subcodes, as made.
 
     A subcode is the row space of one RREF message matrix: row i is
     g[p_i] + sum of x_c g[c] over the columns c left free in row i.  For
@@ -267,9 +276,83 @@ def _enumerate(code: LinearCode, r: int, fold) -> list:
             yield fold(counts[0] if nwords == 1 else counts.sum(axis=0, dtype=np.intp))
 
     try:
-        return [out for pattern in pivot_patterns(r, code.k) for out in blocks(*pattern)]
+        for pattern in pivot_patterns(r, code.k):
+            yield from blocks(*pattern)
     finally:
         span.cache_clear()
+
+
+def _class_weights(code: LinearCode, fold) -> Iterator:
+    """fold(weights) of every block of the scalar classes, by float32 products.
+
+    Split a message u = (u1, u2) over the first a = ceil(k/2) and the last
+    k - a rows of G = (G'; G'').  The classes with u1 != 0 are the normalized
+    u1 (first nonzero entry 1: g[p] + span of the rows p+1..a-1) with every
+    u2; those with u1 = 0 are the classes of G'' alone, split again.  The
+    weight of u1 G' - u2 G'' is the number of positions where the rows u1 G'
+    and u2 G'' differ: the dot product of their one-hot rows, the first one
+    complemented.  So one float32 product weighs a whole block of classes.
+    u2 runs over a span, which is closed under negation, so these are the
+    weights of u1 G' + u2 G'' too.  The terms are 0/1 and every sum is at
+    most n < 2^24, so the weights are exact in whatever order BLAS adds them.
+
+    A block is at most sqrt(BLOCK // 16) classes on a side, and its columns
+    are cut so that an operand holds at most BLOCK // 4 float32 entries (the
+    bytes of the bit engine's table): long codes still get square products.
+    """
+    n, q = code.n, code.field.q
+    ops = code.field.array_ops()
+    side = max(1, isqrt(BLOCK // 16))
+
+    def span(g):
+        s = np.zeros((1, n), dtype=ops.dtype)
+        for row in g[::-1]:
+            s = ops.add(ops.multiples(row)[:, None], s[None]).reshape(-1, n)
+        return s
+
+    def onehot(test, t):
+        """Row i is test(t[i, j], x) for every x in GF(q), then every j, in float32."""
+        out = np.empty((len(t), q, t.shape[1]), dtype=np.float32)
+        for x in range(q):
+            test(t, x, out=out[:, x], casting="unsafe")
+        return out.reshape(len(t), -1)
+
+    g = code.generator.rows
+    while len(g):
+        a = -(-len(g) // 2)
+        lead = np.concatenate([ops.add(g[p], span(g[p + 1 : a])) for p in range(a)])
+        tail = span(g[a:])
+        na, nb = min(len(lead), side), min(len(tail), side)
+        width = min(n, max(1, BLOCK // 4 // (max(na, nb) * q)))
+        for i in range(0, len(tail), nb):
+            for j in range(0, len(lead), na):
+                w = sum(
+                    onehot(np.not_equal, lead[j : j + na, c : c + width])
+                    @ onehot(np.equal, tail[i : i + nb, c : c + width]).T
+                    for c in range(0, n, width)
+                )
+                yield fold(w.astype(np.int32).ravel())
+        g = g[a:]
+
+
+# Scalar classes over GF(q), q <= PRODUCT_MAX_Q, are weighed by _class_weights.
+# A product costs 2q flops per class and position where the bit engine
+# compares one byte, so the products stop paying at GF(8), whose XOR addition
+# keeps the bit engine cheap (products 1.2-1.6x slower on random [73,5]_8,
+# [300,6]_8 and [585,5]_8 codes, the last the shape of the quadric that the
+# CLI benchmark analyzes).  float32 counts are exact below 2^24.
+PRODUCT_MAX_Q = 7
+
+
+def _scan(code: LinearCode, r: int, fold) -> Iterator:
+    """fold(support sizes) of every block of the r-dim subcodes, on the engine that suits them.
+
+    Each fold is made when the consumer asks for it, so min and sum hold one
+    block at a time, whatever the number of blocks.
+    """
+    if r == 1 and code.field.q <= PRODUCT_MAX_Q and code.n < 2**24:
+        return _class_weights(code, fold)
+    return _enumerate(code, r, fold)
 
 
 def _check_budget(code: LinearCode, r: int, budget: int, what: str) -> None:
@@ -283,10 +366,12 @@ def min_distance(
 ) -> int:
     """Exact minimum distance: the least weight over the scalar classes.
 
+    Up to GF(7) the weights come from float32 products (_class_weights), from
+    GF(8) on from the bit engine, whose byte compares then cost less.
     Ignores workers: the scan is sequential (the benchmark still passes it)."""
     if code._d is None:
         _check_budget(code, 1, budget, "minimum distance enumeration")
-        code._d = int(min(_enumerate(code, 1, np.min)))
+        code._d = int(min(_scan(code, 1, np.min)))
     return code._d
 
 
@@ -295,12 +380,14 @@ def weight_distribution(
 ) -> WeightEnumerator:
     """Exact weight enumerator: the scalar-class histogram times q - 1, plus 0.
 
+    Up to GF(7) the weights come from float32 products (_class_weights), from
+    GF(8) on from the bit engine, whose byte compares then cost less.
     Ignores workers: the scan is sequential (the benchmark still passes it)."""
     if code._wdist is not None:
         return code._wdist
     q, n = code.field.q, code.n
     _check_budget(code, 1, budget, "weight distribution enumeration")
-    hist = (q - 1) * sum(_enumerate(code, 1, lambda w: np.bincount(w, minlength=n + 1)))
+    hist = (q - 1) * sum(_scan(code, 1, lambda w: np.bincount(w, minlength=n + 1)))
     hist[0] += 1
     invariant(int(hist.sum()) == q**code.k, "weight enumerator normalization failed")
     counts = {w: int(c) for w, c in enumerate(hist) if c}
@@ -315,11 +402,13 @@ def ghw(
 ) -> int:
     """r-th generalized Hamming weight: the least support of an r-dim subcode.
 
+    r = 1 up to GF(7) takes the same float32 products as min_distance; r >= 2
+    and larger fields take the bit engine.
     Ignores workers: the scan is sequential (the benchmark still passes it)."""
     if not 1 <= r <= code.k:
         raise InvalidParams(f"need 1 <= r <= k = {code.k}, got {r}")
     _check_budget(code, r, budget, "subspace enumeration")
-    return int(min(_enumerate(code, r, np.min)))
+    return int(min(_scan(code, r, np.min)))
 
 
 def eckardt_detect(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:

@@ -5,14 +5,35 @@ import json
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from varcodes.cli import main
+from varcodes.cli import _dumps, main
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.integers(), max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.dictionaries(st.integers() | st.floats(allow_nan=False) | st.booleans(), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_values)
+def test_json_writer_matches_indented_json_dumps(value):
+    # Every payload and artifact goes through _dumps; json.dumps is the oracle.
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_field_command(capsys):

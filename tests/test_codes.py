@@ -376,7 +376,9 @@ def _assert_engine_matches_reference(code):
 def test_engine_matches_naive_reference(data):
     # Random full-rank generators; the block size moves the split between
     # the table and the walk, down to one free entry per table.
-    q = data.draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
+    # q <= 7 weighs scalar classes by float32 products, larger q by the bit
+    # engine; both sides of that cutoff are drawn.
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11]))
     k = data.draw(st.integers(1, 4))
     n = data.draw(st.integers(k, 8))
     entry = st.integers(0, q - 1)
@@ -451,7 +453,7 @@ def test_engine_matches_naive_reference_across_word_sizes(n, q):
 def test_enumeration_frees_its_tables_on_return():
     # The span tables are cached for one enumeration only.  With the cyclic
     # garbage collector off, nothing of them may outlive the call.
-    code = _code("projective_space", {"m": 2}, 3, F5)  # [31,10]_5
+    code = _code("projective_space", {"m": 2}, 2, F8)  # [73,6]_8: the bit engine
     min_distance(code)
     code._d = None
     gc.disable()
@@ -463,6 +465,51 @@ def test_enumeration_frees_its_tables_on_return():
         tracemalloc.stop()
         gc.enable()
     assert current < peak // 20
+
+
+def _long_gf8_code(n):
+    rng = random.Random(8)
+    reduced, pivots = rref(Matrix(F8, [[rng.randrange(8) for _ in range(n)] for _ in range(5)]))
+    assert len(pivots) == 5
+    return LinearCode(F8, reduced, [""] * n, [""] * 5, {})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _code("projective_space", {"m": 2}, 3, F5),  # [31,10]_5, float32 products
+        lambda: _long_gf8_code(12000),  # [12000,5]_8, bit engine
+    ],
+    ids=["products", "bits"],
+)
+def test_weight_distribution_folds_each_block_as_it_is_made(make):
+    # Keeping every block until the end would hold ~10 MiB of float32 weights
+    # of the 2.4M classes of [31,10]_5, or ~7 MiB of (n+1)-long histograms of
+    # the 73 blocks of [12000,5]_8.  Folded as they are made, ~1-2.5 MiB.
+    code = make()
+    weight_distribution(code)
+    code._wdist = None
+    tracemalloc.start()
+    try:
+        weight_distribution(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("fld,unused", [(F5, "_enumerate"), (F8, "_class_weights")])
+def test_scalar_classes_take_one_engine_by_field_size(fld, unused):
+    # Up to GF(7), d, wdist and d_1 come from float32 products alone; from
+    # GF(8) on, from the bit engine alone.
+    def refuse(*args):
+        raise AssertionError(f"{unused} ran on GF({fld.q})")
+
+    code = _code("projective_space", {"m": 1}, 2, fld)
+    hist = _naive_weight_histogram(code)
+    with mock.patch.object(codes, unused, refuse):
+        assert min_distance(code) == ghw(code, 1) == min(w for w in hist if w)
+        assert weight_distribution(code).counts == hist
 
 
 @pytest.mark.parametrize("q", [3, 5, 9, 25, 27, 243, 729])
