@@ -7,6 +7,7 @@ All stdout output is deterministic (timings go to stderr).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -265,7 +266,13 @@ def cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Command c runs cmd_c, looked up by name in main, so a rebinding of a
+    command function (a test's monkeypatch) still applies.
+    """
     parser = argparse.ArgumentParser(
         prog="varcodes",
         description="evaluation codes from varieties: build, measure, predict, bound, compare",
@@ -277,20 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("e", type=int, nargs="?", default=1)
     p.add_argument("--tables", action="store_true", help="include the exp table")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_field)
 
     p = sub.add_parser("points", help="enumerate the evaluation point set")
     p.add_argument("descriptor", help="descriptor JSON (inline or @file)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_points)
 
     p = sub.add_parser("build", help="build a code artifact")
     p.add_argument("descriptor", help="descriptor JSON (inline or @file)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--h", type=int, default=1)
     p.add_argument("--out", help="artifact path (JSON)")
-    p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("analyze", help="measure d / weights / GHW of an artifact")
     p.add_argument("artifact")
@@ -298,45 +302,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--workers", type=int, default=1, help="ignored; goes once the bench drops it")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("bound", help="run a bound calculator")
     p.add_argument("name", choices=sorted(BOUND_COMMANDS))
     p.add_argument("params", help="parameter JSON object (inline or @file)")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("predict", help="closed-form expected parameters")
     p.add_argument("descriptor", help="descriptor JSON (inline or @file)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--h", type=int, default=1)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("compare", help="measured vs predicted vs bounds table")
     p.add_argument("specs", help="JSON list of {descriptor, h, q} (inline or @file)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=["json", "csv", "table"], default="table")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("export", help="export an artifact (csv generator or json)")
     p.add_argument("artifact")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_export)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         for flag in ("budget", "workers"):
             if getattr(args, flag, 1) < 1:
                 raise InputError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-        return args.fn(args)
+        return globals()["cmd_" + args.command](args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -13,9 +13,12 @@ Hamming weight is the minimum over rank r.
 Over GF(q) with q <= 7 the scalar classes instead go through BLAS float32
 products of one-hot rows (_class_weights): a weight is the number of
 positions where the two halves of a message disagree (n minus a hyperplane
-section), and one product counts them for a whole block of classes.  Its cost grows with q (2q flops per class and position), so from
-GF(8) on, and for r >= 2, the bit engine runs.  Both engines count every
-class once, so the budget estimate n * [k choose r]_q describes either.
+section), and one product counts them for a whole block of classes.  Where
+one operand holds whole rows, each one-hot operand is built once, not once
+per pair of blocks.  The cost grows with q (2q flops per class and
+position), so from GF(8) on, and for r >= 2, the bit engine runs.  Both
+engines count every class once, so the budget estimate n * [k choose r]_q
+describes either.
 """
 
 from __future__ import annotations
@@ -77,10 +80,14 @@ class WeightEnumerator:
 
 @dataclass(eq=False)
 class LinearCode:
-    """Linear [n, k] code given by a full-rank generator matrix in RREF.
+    """Linear [n, k] code given by a full-rank generator matrix.
 
-    The generator's rows are one index array (see Matrix), which the
-    enumeration engine reads as it is; only to_dict and to_csv make lists.
+    build_evaluation_code stores the generator in RREF; from_dict keeps the
+    stored one as it is (it may be any full-rank basis, such as a row
+    transform of the RREF with permuted columns), and the engines need no
+    particular form.  The generator's rows are one index array (see Matrix),
+    which the enumeration engine reads as it is; only to_dict and to_csv make
+    lists.
     """
 
     field: GF
@@ -282,6 +289,14 @@ def _enumerate(code: LinearCode, r: int, fold) -> Iterator:
         span.cache_clear()
 
 
+def _onehot(test, t, q: int) -> np.ndarray:
+    """Row i is test(t[i, j], x) for every x in GF(q), then every j, in float32."""
+    out = np.empty((len(t), q, t.shape[1]), dtype=np.float32)
+    for x in range(q):
+        test(t, x, out=out[:, x], casting="unsafe")
+    return out.reshape(len(t), -1)
+
+
 def _class_weights(code: LinearCode, fold) -> Iterator:
     """fold(weights) of every block of the scalar classes, by float32 products.
 
@@ -299,10 +314,14 @@ def _class_weights(code: LinearCode, fold) -> Iterator:
     A block is at most sqrt(BLOCK // 16) classes on a side, and its columns
     are cut so that an operand holds at most BLOCK // 4 float32 entries (the
     bytes of the bit engine's table): long codes still get square products.
+    Each operand is built once: when one chunk covers the columns, a tail
+    block's one-hot serves every lead block, and the whole lead's one-hot is
+    built once if it fits the same cap; cut columns take per-chunk operands.
+    The float32 weights go to fold as they are.
     """
     n, q = code.n, code.field.q
     ops = code.field.array_ops()
-    side = max(1, isqrt(BLOCK // 16))
+    side, cap = max(1, isqrt(BLOCK // 16)), BLOCK // 4
 
     def span(g):
         s = np.zeros((1, n), dtype=ops.dtype)
@@ -310,28 +329,32 @@ def _class_weights(code: LinearCode, fold) -> Iterator:
             s = ops.add(ops.multiples(row)[:, None], s[None]).reshape(-1, n)
         return s
 
-    def onehot(test, t):
-        """Row i is test(t[i, j], x) for every x in GF(q), then every j, in float32."""
-        out = np.empty((len(t), q, t.shape[1]), dtype=np.float32)
-        for x in range(q):
-            test(t, x, out=out[:, x], casting="unsafe")
-        return out.reshape(len(t), -1)
-
     g = code.generator.rows
     while len(g):
         a = -(-len(g) // 2)
-        lead = np.concatenate([ops.add(g[p], span(g[p + 1 : a])) for p in range(a)])
+        rest = span(g[1:a])  # span(g[p+1:a]) is its first q^(a-1-p) rows
+        lead = np.concatenate([ops.add(g[p], rest[: q ** (a - 1 - p)]) for p in range(a)])
         tail = span(g[a:])
         na, nb = min(len(lead), side), min(len(tail), side)
-        width = min(n, max(1, BLOCK // 4 // (max(na, nb) * q)))
+        width = min(n, max(1, cap // (max(na, nb) * q)))
+        fits = width == n and len(lead) * q * n <= cap
+        whole = _onehot(np.not_equal, lead, q) if fits else None
         for i in range(0, len(tail), nb):
+            right = _onehot(np.equal, tail[i : i + nb], q).T if width == n else None
             for j in range(0, len(lead), na):
-                w = sum(
-                    onehot(np.not_equal, lead[j : j + na, c : c + width])
-                    @ onehot(np.equal, tail[i : i + nb, c : c + width]).T
-                    for c in range(0, n, width)
-                )
-                yield fold(w.astype(np.int32).ravel())
+                if right is None:
+                    w = sum(
+                        _onehot(np.not_equal, lead[j : j + na, c : c + width], q)
+                        @ _onehot(np.equal, tail[i : i + nb, c : c + width], q).T
+                        for c in range(0, n, width)
+                    )
+                elif whole is None:
+                    w = _onehot(np.not_equal, lead[j : j + na], q) @ right
+                else:
+                    w = whole[j : j + na] @ right
+                yield fold(w.ravel())
+                del w  # free each product, and below each tail one-hot, before the next
+            del right
         g = g[a:]
 
 
@@ -387,7 +410,11 @@ def weight_distribution(
         return code._wdist
     q, n = code.field.q, code.n
     _check_budget(code, 1, budget, "weight distribution enumeration")
-    hist = (q - 1) * sum(_scan(code, 1, lambda w: np.bincount(w, minlength=n + 1)))
+
+    def histogram(w):  # float32 weights from the products, ints from the bit engine
+        return np.bincount(w.astype(np.intp, copy=False), minlength=n + 1)
+
+    hist = (q - 1) * sum(_scan(code, 1, histogram))
     hist[0] += 1
     invariant(int(hist.sum()) == q**code.k, "weight enumerator normalization failed")
     counts = {w: int(c) for w, c in enumerate(hist) if c}

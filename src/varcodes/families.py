@@ -133,8 +133,8 @@ def is_kind(value, kind: str) -> bool:
         return type(value) is _TYPES[kind]
     if kind.startswith("list["):
         inner = kind[5:-1]
-        if inner in _TYPES:  # the fast path for artifact generators and labels
-            return type(value) is list and all(type(v) is _TYPES[inner] for v in value)
+        if inner in _TYPES:  # the fast path for artifact generators and labels, in C
+            return type(value) is list and set(map(type, value)) <= {_TYPES[inner]}
         return type(value) is list and all(is_kind(v, inner) for v in value)
     if kind == "int | None":
         return value is None or is_kind(value, "int")

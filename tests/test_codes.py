@@ -498,6 +498,23 @@ def test_weight_distribution_folds_each_block_as_it_is_made(make):
     assert peak < 4 * 2**20
 
 
+def test_min_distance_holds_one_product_at_a_time():
+    # [31,10]_5 takes the cached lead one-hot (781 x 155 floats, 473 KiB), a
+    # tail one-hot (155 KiB), one 256 x 256 product (256 KiB) and the spans
+    # (122 KiB) at once.  A product kept while the next one is made adds
+    # 256 KiB.
+    code = _code("projective_space", {"m": 2}, 3, F5)
+    min_distance(code)
+    code._d = None
+    tracemalloc.start()
+    try:
+        min_distance(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1100 * 2**10
+
+
 @pytest.mark.parametrize("fld,unused", [(F5, "_enumerate"), (F8, "_class_weights")])
 def test_scalar_classes_take_one_engine_by_field_size(fld, unused):
     # Up to GF(7), d, wdist and d_1 come from float32 products alone; from
@@ -703,3 +720,72 @@ def test_ghw_workers_match_sequential(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     code = _code("grassmann", {"l": 2, "m": 4}, 1, F2)
     assert ghw(code, 2, workers=3) == ghw(code, 2)
+
+
+def _random_full_rank_code(q, k, n, seed, zero_column):
+    """A random full-rank generator, left unreduced (as artifacts may store it)."""
+    F = GF.from_order(q)
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        for row in rows[: n if zero_column else 0]:
+            row[n // 2] = 0
+        if rank(Matrix(F, rows)) == k:
+            return LinearCode(F, Matrix(F, rows), [""] * n, [""] * k, {})
+
+
+@pytest.mark.parametrize(
+    "q,k,n,block,zero_column,lead",
+    [
+        (2, 5, 7, 512, False, "whole"),  # 7 lead rows, 5 a side: two slices of one one-hot
+        (2, 6, 8, 256, False, "per block"),
+        (2, 4, 6, 256, True, "whole"),
+        (3, 5, 5, 1024, False, "whole"),
+        (3, 4, 4, 128, False, "per block"),
+        (3, 5, 7, 512, True, "per block"),
+        (4, 3, 3, 256, False, "whole"),
+        (4, 4, 4, 256, False, "per block"),
+        (5, 3, 5, 1024, True, "whole"),
+        (5, 5, 7, 4096, False, "per block"),
+        (7, 1, 8, 256, False, "whole"),
+        (7, 3, 3, 512, False, "per block"),
+        (7, 4, 4, 1024, False, "whole"),
+    ],
+)
+def test_class_weights_build_each_operand_once(q, k, n, block, zero_column, lead):
+    # With one column chunk, the lead's one-hot is built once when it fits
+    # BLOCK // 4 floats and per lead block otherwise.  Either way the weights
+    # match the bit engine and the naive histogram, and no one-hot operand
+    # exceeds BLOCK // 4 entries.
+    code = _random_full_rank_code(q, k, n, 1000 * q + 10 * k + n, zero_column)
+    hist = _naive_weight_histogram(code)
+    bits = sum(codes._enumerate(code, 1, lambda w: np.bincount(w, minlength=n + 1)))
+    assert {0: 1} | {w: (q - 1) * int(c) for w, c in enumerate(bits) if c} == hist
+    assert int(min(codes._enumerate(code, 1, np.min))) == min(w for w in hist if w)
+
+    shapes = []  # (complemented, rows, columns) of every one-hot
+
+    def spy(test, t, q):
+        out = onehot(test, t, q)
+        assert out.size <= block // 4
+        shapes.append((test is np.not_equal, *t.shape))
+        return out
+
+    onehot = codes._onehot
+    with mock.patch.object(codes, "BLOCK", block), mock.patch.object(codes, "_onehot", spy):
+        assert min_distance(code) == ghw(code, 1) == min(w for w in hist if w)
+        assert weight_distribution(code).counts == hist
+    leads, tails = [], []  # classes with u1 != 0 and u2 choices, split by split
+    rows = k
+    while rows:
+        a = -(-rows // 2)
+        leads.append((q**a - 1) // (q - 1))
+        tails.append(q ** (rows - a))
+        rows -= a
+    scans = 3  # d, d_1 and wdist
+    assert all(cols == n for _, _, cols in shapes)
+    assert sum(r for complemented, r, _ in shapes if not complemented) == scans * sum(tails)
+    lead_rows = sum(r for complemented, r, _ in shapes if complemented)
+    if lead == "whole":
+        assert lead_rows == scans * sum(leads)
+    assert ((True, leads[0], n) in shapes) == (lead == "whole")

@@ -107,12 +107,18 @@ def _artifact(tmp_path, capsys, edit):
         (lambda d: d["generator"][0].__setitem__(0, 256), InvalidParams),
         (lambda d: d["generator"][0].__setitem__(0, -1), InvalidParams),
         (lambda d: d["generator"][0].__setitem__(0, 2**70), InvalidParams),
+        # Entries and rows of another JSON type.
+        (lambda d: d["generator"][0].__setitem__(0, True), InvalidParams),
+        (lambda d: d["generator"][0].__setitem__(0, 1.0), InvalidParams),
+        (lambda d: d["generator"][0].__setitem__(0, "1"), InvalidParams),
+        (lambda d: d["generator"].__setitem__(0, "1,0,0"), InvalidParams),
         (lambda d: d["generator"][0].pop(), DimensionMismatch),
         (lambda d: d["generator"].__setitem__(-1, []), DimensionMismatch),
     ],
     ids=[
         "labels", "n-k", "no-generator", "rank", "empty", "field", "field-q", "label-kind",
-        "generator-entry", "entry-256", "entry-negative", "entry-2**70", "ragged", "empty-row",
+        "generator-entry", "entry-256", "entry-negative", "entry-2**70",
+        "entry-bool", "entry-float", "entry-str", "row-str", "ragged", "empty-row",
     ],
 )
 def test_inconsistent_artifacts_rejected(tmp_path, capsys, edit, error):
