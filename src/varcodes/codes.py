@@ -33,11 +33,12 @@ import numpy as np
 
 from .bounds import gaussian_binomial
 from .errors import (
-    BudgetExceeded,
+    DEFAULT_BUDGET,
     EmptyPointSet,
     InputError,
     InvalidParams,
     UnexpectedDistance,
+    check_budget,
     invariant,
 )
 from .families import build_point_set, check_descriptor, require_fields
@@ -46,7 +47,6 @@ from .linalg import Matrix, pivot_patterns, rref
 from .projgeom import Form, enumerate_monomials, evaluate_forms, monomial_name
 from .varieties import PointSet, VarietyDescriptor, delpezzo_points
 
-DEFAULT_BUDGET = 2**31
 ARTIFACT_FORMAT_VERSION = 1
 _ARTIFACT_KINDS = {
     "format_version": "int",
@@ -379,9 +379,7 @@ def _scan(code: LinearCode, r: int, fold) -> Iterator:
 
 
 def _check_budget(code: LinearCode, r: int, budget: int, what: str) -> None:
-    est = code.n * gaussian_binomial(code.k, r, code.field.q)
-    if est > budget:
-        raise BudgetExceeded(est, budget, what)
+    check_budget(code.n * gaussian_binomial(code.k, r, code.field.q), what, budget)
 
 
 def min_distance(

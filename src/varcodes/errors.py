@@ -93,6 +93,9 @@ class GeneralPositionFailure(InputError):
     pass
 
 
+DEFAULT_BUDGET = 2**31  # elementary operations, or array entries, that one request may cost
+
+
 class BudgetExceeded(RuntimeError):
     """Estimated enumeration cost exceeds the budget (CLI exit code 3)."""
 
@@ -102,6 +105,12 @@ class BudgetExceeded(RuntimeError):
         )
         self.estimate = estimate
         self.budget = budget
+
+
+def check_budget(estimate: int, what: str, budget: int = DEFAULT_BUDGET) -> None:
+    """Raise BudgetExceeded if estimate is over budget."""
+    if estimate > budget:
+        raise BudgetExceeded(estimate, budget, what)
 
 
 class InternalError(AssertionError):

@@ -5,7 +5,8 @@ the polynomial-basis coordinates (constant term first).  Index 0 is the
 additive identity.  This module is the only one that knows the encoding:
 the rest of the package goes through the scalar operations of GF, or through
 GF.array_ops on numpy arrays of indices: elementwise add, neg, mul and pow,
-and the scalar multiples of a vector.
+the scalar multiples of a vector, the values of many monomial terms at many
+points, and the sums of runs of rows.
 
 Each field builds its tables once, at construction.  Multiplication,
 inversion and powers go through generator-power (exp/log) tables.  Addition
@@ -276,7 +277,13 @@ class GF:
           pow(a, n): a^n for integers n >= 0 (an int or an int array), with
             0^0 = 1 and 0^n = 0 for n > 0;
           multiples(u): every scalar multiple of the vector u, one per row:
-            0 first, then g^i * u for i = 0, ..., q - 2.
+            0 first, then g^i * u for i = 0, ..., q - 2;
+          terms(x, expos, coeffs): the value of c_t * prod_i x_i^E[t, i] at
+            every row of the (N, m + 1) array x, as a (T, N) array, for the
+            (T, m + 1) exponent matrix E and the T coefficients c;
+          add_runs(a, starts): the sums of the runs of rows of a that begin
+            at the strictly increasing row indices starts (the last run ends
+            at the last row), one row per run, like np.add.reduceat.
         """
         return self._ops
 
@@ -308,7 +315,46 @@ class GF:
             scaled = exp[(np.arange(q - 1)[:, None] + log[u]) % (q - 1)]
             return np.vstack([np.zeros_like(u), np.where(u != 0, scaled, 0)])
 
-        return SimpleNamespace(dtype=dtype, add=add, neg=neg, mul=mul, pow=pow, multiples=multiples)
+        def terms(x, expos, coeffs):
+            # log c + sum_i e_i log x_i for every term and row in one matrix
+            # product.  A 0 factor's log is `zero`, past every sum of true logs,
+            # so a sum that reaches it marks a 0 value.  Below 2^24 float32 is
+            # exact for the true sums, and rounding keeps the others >= zero.
+            expos = np.asarray(expos)
+            zero = (int(expos.sum(axis=1).max(initial=0)) + 1) * (q - 2) + 1
+            real = np.float32 if zero < 1 << 24 else np.float64
+            lhs = np.column_stack([expos, np.where(coeffs != 0, log[coeffs], zero)])
+            rhs = np.vstack([np.where(x != 0, log[x], zero).T, np.ones(len(x))])
+            logs = np.minimum(lhs.astype(real) @ rhs.astype(real), zero).astype(np.intp)
+            if zero < logs.size:  # a table of exp of every sum costs less than % on each
+                return np.append(exp[np.arange(zero) % (q - 1)], np.zeros(1, dtype)).take(logs)
+            return np.where(logs < zero, exp[logs % (q - 1)], 0).astype(dtype)
+
+        if self.p == 2:
+
+            def add_runs(a, starts):
+                if len(starts) == len(a):  # every run is one row
+                    return a
+                return np.bitwise_xor.reduceat(a, starts, axis=0)
+
+        else:
+            # An index is the base-p integer of its digits: sum each digit mod p.
+            p, e = self.p, self.e
+            digits = [np.arange(q, dtype=dtype) // p**i % p for i in range(e)]
+
+            def add_runs(a, starts):
+                if len(starts) == len(a):
+                    return a
+                out = np.zeros((len(starts),) + a.shape[1:], dtype)
+                for i, digit in enumerate(digits):
+                    sums = np.add.reduceat(digit.take(a), starts, axis=0, dtype=np.int64)
+                    out += (sums % p * p**i).astype(dtype)
+                return out
+
+        return SimpleNamespace(
+            dtype=dtype, add=add, neg=neg, mul=mul, pow=pow, multiples=multiples,
+            terms=terms, add_runs=add_runs,
+        )
 
     # -- enumeration & serialization ------------------------------------------
 

@@ -14,10 +14,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams
+from .errors import DimensionMismatch, InvalidParams, check_budget
 from .gf import GF
 
 Exponents = tuple[int, ...]
+
+CHUNK_ENTRIES = 1 << 16  # term values that evaluate_forms holds at once
 
 
 def enumerate_projective_points(
@@ -26,11 +28,15 @@ def enumerate_projective_points(
     """Canonical representatives of P^m(F_q), one row each, in the fixed order.
 
     With affine_only, just the x0 = 1 block of size q^m (the complement of
-    the hyperplane x0 = 0).
+    the hyperplane x0 = 0).  Raises BudgetExceeded, before any allocation,
+    if the points and the q^m x m coordinate tails hold over DEFAULT_BUDGET
+    entries.
     """
     if m < 1:
         raise InvalidParams(f"ambient dimension must be >= 1, got {m}")
     q, dtype = fld.q, fld.array_ops().dtype
+    rows = q**m if affine_only else (q ** (m + 1) - 1) // (q - 1)
+    check_budget(rows * (m + 1) + q**m * m, f"enumerating P^{m}(F_{q})")
     # F_q^m in lex order: its first q^k rows are 0 but for the last k coordinates.
     tails = np.indices((q,) * m, dtype).reshape(m, -1).T
     blocks = []
@@ -183,22 +189,29 @@ def evaluate_forms(forms: list[Form], points) -> np.ndarray:
     """Values of every form at every point, as a (forms, points) index array.
 
     points is an (N, ambient + 1) index array, or a list of coordinate
-    tuples that np.asarray turns into one.  A monomial's value is the
-    product of pow(x_i, e_i) over its variables, which GF.array_ops computes
-    as exp(sum e_i log x_i), masked to 0 where some x_i = 0 with e_i > 0.
+    tuples that np.asarray turns into one.  The terms of all forms are the
+    rows of one exponent matrix: GF.array_ops.terms evaluates all of them at
+    a chunk of points by one matrix product of exponents and logs, and
+    add_runs sums each form's run of terms.  A form with no terms stays 0.
+    A chunk holds at most CHUNK_ENTRIES term values, whatever N is.
     """
     ops = forms[0].field.array_ops()
     x = np.asarray(points, ops.dtype)
     out = np.zeros((len(forms), len(x)), ops.dtype)
-    for row, f in zip(out, forms):
+    for f in forms:
         if x.shape[1] != f.ambient + 1:
             raise DimensionMismatch(
                 f"point has {x.shape[1]} coordinates, form expects {f.ambient + 1}"
             )
-        for expo, c in f.terms.items():
-            value = np.full(len(x), c, ops.dtype)
-            for xi, e in zip(x.T, expo):
-                if e:
-                    value = ops.mul(value, ops.pow(xi, e))
-            row[:] = ops.add(row, value)
+    rows = [i for i, f in enumerate(forms) if f.terms]
+    if not rows:
+        return out
+    live = [forms[i] for i in rows]
+    starts = np.cumsum([0] + [len(f.terms) for f in live[:-1]])
+    expos = np.array([e for f in live for e in f.terms])
+    coeffs = np.array([c for f in live for c in f.terms.values()], ops.dtype)
+    step = max(1, CHUNK_ENTRIES // len(expos))
+    for lo in range(0, len(x), step):
+        values = ops.terms(x[lo : lo + step], expos, coeffs)
+        out[rows, lo : lo + step] = ops.add_runs(values, starts)
     return out

@@ -35,6 +35,7 @@ from .errors import (
     InternalError,
     InvalidParams,
     NotQuadratic,
+    check_budget,
     invariant,
 )
 from .gf import GF
@@ -277,10 +278,13 @@ def flag_points(m: int, fld: GF) -> PointSet:
     """Incident (point, hyperplane) pairs of P^(m-1), Segre-embedded.
 
     Coordinates z_ij = x_i * y_j for x the point, y the hyperplane
-    coefficients; incidence makes the diagonal trace vanish.
+    coefficients; incidence makes the diagonal trace vanish.  Raises
+    BudgetExceeded, before any allocation, if the table of x_i * y_i over
+    all pairs would hold over DEFAULT_BUDGET entries.
     """
     ops = fld.array_ops()
     reps = enumerate_projective_points(m - 1, fld)
+    check_budget(len(reps) ** 2 * m, f"pairing the points and hyperplanes of P^{m - 1}(F_{fld.q})")
     products = ops.mul(reps[:, None], reps[None])  # x_i * y_i for every pair (x, y)
     trace = reduce(ops.add, np.moveaxis(products, -1, 0))
     x, y = np.nonzero(trace == 0)  # x-major, as the pairs are enumerated
@@ -384,13 +388,14 @@ def delpezzo_points(l: int, fld: GF) -> tuple[PointSet, list[Form], np.ndarray]:
     directions = enumerate_projective_points(1, fld)
     u, v = directions[:, :1], directions[:, 1:]
     names = point_labels(directions)
-    for bp, bp_name in zip(base, point_labels(base)):
+    # grads[f, i, j]: df/dx_i of basis form f at base point j.
+    grads = evaluate_forms([f.partial(i) for f in basis for i in range(3)], base)
+    grads = grads.reshape(len(basis), 3, len(base))
+    for j, (bp, bp_name) in enumerate(zip(base, point_labels(base))):
         pivot = int(np.flatnonzero(bp)[0])  # leading 1
         a, b = [i for i in range(3) if i != pivot]
-        partials = [f.partial(i) for f in basis for i in (a, b)]
-        grads = evaluate_forms(partials, bp[None]).reshape(-1, 2)
         # Direction (u, v) at bp gives the column of u * df/dx_a + v * df/dx_b.
-        cols = ops.add(ops.mul(u, grads[:, 0]), ops.mul(v, grads[:, 1]))
+        cols = ops.add(ops.mul(u, grads[:, a, j]), ops.mul(v, grads[:, b, j]))
         invariant(
             bool(cols.any(axis=1).all()), "anticanonical system failed to separate a direction"
         )

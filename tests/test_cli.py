@@ -164,6 +164,18 @@ def test_exit_code_3_on_budget(tmp_path, capsys):
     assert rc == 3 and "budget exceeded" in err
 
 
+def test_oversized_construction_exits_3(capsys):
+    # P^40(F_2) has 2^41 - 1 points: refused before any array is made, with
+    # no CLI flag involved, and an error row under compare.
+    desc = '{"family":"projective_space","m":40}'
+    for command in ("build", "points"):
+        rc, out, err = run(capsys, command, desc, "--q", "2")
+        assert (rc, out) == (3, "")
+        assert err.startswith("budget exceeded: enumerating P^40(F_2)")
+    rc, out, _ = run(capsys, "compare", f'[{{"descriptor":{desc},"q":2}}]', "--format", "json")
+    assert rc == 0 and "enumerating P^40(F_2)" in json.loads(out)[0]["error"]
+
+
 def test_byte_identical_reruns(capsys):
     specs = json.dumps(
         [{"descriptor": {"family": "quadric", "m": 3, "w": 0}, "q": 3}]

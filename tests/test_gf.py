@@ -1,6 +1,7 @@
 """Field arithmetic: table integrity, axioms, Frobenius, conjugation."""
 
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -215,6 +216,42 @@ def test_array_mul_neg_pow_match_polynomial_arithmetic(q):
     for n in (0, 1, 2, q - 1, q + 1):
         assert ops.pow(x, n).dtype == ops.dtype
         assert ops.pow(x, n).tolist() == [F._pow_raw(s, n) for s in x.tolist()], n
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 27, 243, 256, 512, 729])
+def test_array_terms_and_add_runs_match_scalar_arithmetic(q):
+    # terms against the scalar pow and mul, add_runs against the scalar add.
+    # The largest exponent sets terms' paths: a table of exp for small ones
+    # at 500 points, % mod q - 1 for 300, and a float64 product for 2^24.
+    # The last term, (big, 0, 1) with coefficient r = g^(q-2), reaches the
+    # largest sum of logs at the point (r : r : r).
+    F = GF.from_order(q)
+    ops = F.array_ops()
+    rng = np.random.default_rng(q)
+    r = F.exp[q - 2]
+    x = rng.integers(q, size=(500, 3)).astype(ops.dtype)
+    x[:5] = [[0, 0, 0], [0, 1, 2 % q], [1, 0, 0], [q - 1, q - 1, 0], [r, r, r]]
+    for big in (3, 300, 1 << 24):
+        expos = rng.integers(0, 4, size=(7, 3))
+        expos[:3] = [[0, 0, 0], [big, 0, 1], [0, 2, 0]]
+        expos[-1] = [big, 0, 1]
+        coeffs = rng.integers(q, size=7).astype(ops.dtype)
+        coeffs[:2] = [1, 0]
+        coeffs[-1] = r
+        got = ops.terms(x, expos, coeffs)
+        assert got.dtype == ops.dtype
+        want = [
+            [reduce(F.mul, (F.pow(v, n) for v, n in zip(row, e)), c) for row in x.tolist()]
+            for e, c in zip(expos.tolist(), coeffs.tolist())
+        ]
+        assert got.tolist() == want, big
+    for starts in ([0], [0, 1, 2, 3, 4, 5, 6], [0, 2, 3, 6], [1, 5]):
+        sums = ops.add_runs(got, np.array(starts))
+        assert sums.dtype == ops.dtype
+        ends = starts[1:] + [len(got)]
+        assert sums.tolist() == [
+            [reduce(F.add, col, 0) for col in zip(*want[a:b])] for a, b in zip(starts, ends)
+        ]
 
 
 def test_conjugate_gf4():

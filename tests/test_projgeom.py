@@ -1,12 +1,14 @@
 """Projective point enumeration, monomial bases, form evaluation."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from varcodes import projgeom
 from varcodes.bounds import sigma
-from varcodes.errors import DimensionMismatch
+from varcodes.errors import BudgetExceeded, DimensionMismatch
 from varcodes.gf import GF
 from varcodes.projgeom import (
     Form,
@@ -125,17 +127,22 @@ def _naive_value(F, f, point):
     return total
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_evaluate_forms_matches_naive_products(data):
-    F = GF.from_order(data.draw(st.sampled_from([2, 3, 4, 5, 8, 9, 25])))
+    # Odd p with e > 1 (27, 49) and uint16 elements with no add table (343,
+    # 512) included.  Degree 0 gives constant forms (0^0 = 1); the forms
+    # draw their terms from one small pool of monomials, so they share some,
+    # and a form may have no terms at all.
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 8, 9, 25, 27, 49, 343, 512]))
+    F = GF.from_order(q)
     m = data.draw(st.integers(1, 3))
     degree = data.draw(st.integers(0, 4))
-    monos = enumerate_monomials(m, degree)
+    pool = data.draw(st.lists(st.sampled_from(enumerate_monomials(m, degree)), min_size=1, max_size=4))
     element = st.integers(0, F.q - 1)
     forms = [
-        Form(F, m, degree, data.draw(st.dictionaries(st.sampled_from(monos), element, max_size=5)))
-        for _ in range(data.draw(st.integers(1, 3)))
+        Form(F, m, degree, data.draw(st.dictionaries(st.sampled_from(pool), element, max_size=4)))
+        for _ in range(data.draw(st.integers(1, 4)))
     ]
     # Any vectors, the zero vector and coordinates equal to 0 included.
     points = data.draw(st.lists(st.tuples(*[element] * (m + 1)), min_size=1, max_size=8))
@@ -143,6 +150,51 @@ def test_evaluate_forms_matches_naive_products(data):
     assert got.shape == (len(forms), len(points))
     assert got.tolist() == [[_naive_value(F, f, p) for p in points] for f in forms]
     assert [evaluate_forms(forms[:1], [p])[0, 0] for p in points] == got[0].tolist()
+
+
+@pytest.mark.parametrize("q", [4, 9, 25])
+@pytest.mark.parametrize("cap", [1, 3, 5])
+def test_evaluate_forms_in_small_chunks(monkeypatch, q, cap):
+    # With a cap of a few term values, a chunk holds one point or a few, so
+    # a form's run of terms is split over chunks and chunks end mid-run.
+    F = GF.from_order(q)
+    rng = random.Random(q * cap)
+    monos = enumerate_monomials(2, 3)
+    forms = [
+        Form(F, 2, 3, {e: rng.randrange(1, q) for e in rng.sample(monos, rng.randrange(0, 5))})
+        for _ in range(6)
+    ]
+    points = enumerate_projective_points(2, F)[rng.sample(range(q * q + q + 1), 12)]
+    whole = evaluate_forms(forms, points)
+    monkeypatch.setattr(projgeom, "CHUNK_ENTRIES", cap)
+    assert evaluate_forms(forms, points).tolist() == whole.tolist()
+    assert whole.tolist() == [[_naive_value(F, f, p) for p in points.tolist()] for f in forms]
+
+
+@pytest.mark.parametrize("q", [16, 9])
+def test_evaluate_forms_memory_is_bounded(q):
+    # The degree-3 monomials of P^4: 35 forms at 69,905 points over GF(16).
+    # Term values are made a chunk at a time, so beyond the output the peak
+    # stays below a few MiB whatever the number of points.
+    F = GF.from_order(q)
+    forms = [Form.monomial(F, e) for e in enumerate_monomials(4, 3)]
+    points = enumerate_projective_points(4, F)
+    tracemalloc.start()
+    try:
+        out = evaluate_forms(forms, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (35, sigma(4, q))
+    assert peak - out.nbytes < 4 * 2**20
+
+
+def test_projective_enumeration_over_budget_is_refused():
+    # 2^41 points of 41 coordinates: refused before any array is made.
+    with pytest.raises(BudgetExceeded, match=r"P\^40\(F_2\)"):
+        enumerate_projective_points(40, GF(2))
+    with pytest.raises(BudgetExceeded):
+        enumerate_projective_points(40, GF(2), affine_only=True)
 
 
 def _hyperplanes(m, F):

@@ -8,6 +8,7 @@ import pytest
 
 from varcodes import bounds, varieties
 from varcodes.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     EmptyPolytope,
     GeneralPositionFailure,
@@ -332,6 +333,13 @@ def test_flag_points_m2_is_line(q):
 
 def test_flag_counts_match_formula():
     assert len(flag_points(3, F3)) == (27 - 1) * (9 - 1) // 4 == 52
+
+
+def test_flag_pair_table_over_budget_is_refused():
+    # P^11(F_3) has 265,720 points, so the pair table would hold 265,720^2 * 12
+    # entries; the refusal comes before the table is made.
+    with pytest.raises(BudgetExceeded, match="points and hyperplanes of P\\^11"):
+        flag_points(12, F3)
 
 
 def test_flag_incidence_trace_vanishes():
