@@ -138,7 +138,8 @@ def test_evaluate_forms_matches_naive_products(data):
     F = GF.from_order(q)
     m = data.draw(st.integers(1, 3))
     degree = data.draw(st.integers(0, 4))
-    pool = data.draw(st.lists(st.sampled_from(enumerate_monomials(m, degree)), min_size=1, max_size=4))
+    monos = st.sampled_from(enumerate_monomials(m, degree))
+    pool = data.draw(st.lists(monos, min_size=1, max_size=4))
     element = st.integers(0, F.q - 1)
     forms = [
         Form(F, m, degree, data.draw(st.dictionaries(st.sampled_from(pool), element, max_size=4)))
