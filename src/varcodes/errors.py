@@ -99,18 +99,22 @@ DEFAULT_BUDGET = 2**31  # elementary operations, or array entries, that one requ
 class BudgetExceeded(RuntimeError):
     """Estimated enumeration cost exceeds the budget (CLI exit code 3)."""
 
-    def __init__(self, estimate: int, budget: int, what: str = "enumeration"):
-        super().__init__(
-            f"{what} needs ~{estimate} elementary operations, budget is {budget}"
-        )
+    def __init__(
+        self, estimate: int, budget: int, what: str = "enumeration",
+        unit: str = "elementary operations",
+    ):
+        super().__init__(f"{what} needs ~{estimate} {unit}, budget is {budget}")
         self.estimate = estimate
         self.budget = budget
 
 
-def check_budget(estimate: int, what: str, budget: int = DEFAULT_BUDGET) -> None:
-    """Raise BudgetExceeded if estimate is over budget."""
+def check_budget(
+    estimate: int, what: str, budget: int = DEFAULT_BUDGET,
+    unit: str = "elementary operations",
+) -> None:
+    """Raise BudgetExceeded if estimate, counted in unit, is over budget."""
     if estimate > budget:
-        raise BudgetExceeded(estimate, budget, what)
+        raise BudgetExceeded(estimate, budget, what, unit)
 
 
 class InternalError(AssertionError):

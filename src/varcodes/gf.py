@@ -326,8 +326,6 @@ class GF:
             lhs = np.column_stack([expos, np.where(coeffs != 0, log[coeffs], zero)])
             rhs = np.vstack([np.where(x != 0, log[x], zero).T, np.ones(len(x))])
             logs = np.minimum(lhs.astype(real) @ rhs.astype(real), zero).astype(np.intp)
-            if zero < logs.size:  # a table of exp of every sum costs less than % on each
-                return np.append(exp[np.arange(zero) % (q - 1)], np.zeros(1, dtype)).take(logs)
             return np.where(logs < zero, exp[logs % (q - 1)], 0).astype(dtype)
 
         if self.p == 2:

@@ -36,7 +36,9 @@ def enumerate_projective_points(
         raise InvalidParams(f"ambient dimension must be >= 1, got {m}")
     q, dtype = fld.q, fld.array_ops().dtype
     rows = q**m if affine_only else (q ** (m + 1) - 1) // (q - 1)
-    check_budget(rows * (m + 1) + q**m * m, f"enumerating P^{m}(F_{q})")
+    check_budget(
+        rows * (m + 1) + q**m * m, f"enumerating P^{m}(F_{q})", unit="array entries"
+    )
     # F_q^m in lex order: its first q^k rows are 0 but for the last k coordinates.
     tails = np.indices((q,) * m, dtype).reshape(m, -1).T
     blocks = []

@@ -284,7 +284,8 @@ def flag_points(m: int, fld: GF) -> PointSet:
     """
     ops = fld.array_ops()
     reps = enumerate_projective_points(m - 1, fld)
-    check_budget(len(reps) ** 2 * m, f"pairing the points and hyperplanes of P^{m - 1}(F_{fld.q})")
+    what = f"pairing the points and hyperplanes of P^{m - 1}(F_{fld.q})"
+    check_budget(len(reps) ** 2 * m, what, unit="array entries")
     products = ops.mul(reps[:, None], reps[None])  # x_i * y_i for every pair (x, y)
     trace = reduce(ops.add, np.moveaxis(products, -1, 0))
     x, y = np.nonzero(trace == 0)  # x-major, as the pairs are enumerated

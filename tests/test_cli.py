@@ -171,7 +171,8 @@ def test_oversized_construction_exits_3(capsys):
     for command in ("build", "points"):
         rc, out, err = run(capsys, command, desc, "--q", "2")
         assert (rc, out) == (3, "")
-        assert err.startswith("budget exceeded: enumerating P^40(F_2)")
+        assert err.startswith("budget exceeded: enumerating P^40(F_2) needs ~")
+        assert " array entries, budget is " in err
     rc, out, _ = run(capsys, "compare", f'[{{"descriptor":{desc},"q":2}}]', "--format", "json")
     assert rc == 0 and "enumerating P^40(F_2)" in json.loads(out)[0]["error"]
 

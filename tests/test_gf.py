@@ -221,8 +221,8 @@ def test_array_mul_neg_pow_match_polynomial_arithmetic(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 27, 243, 256, 512, 729])
 def test_array_terms_and_add_runs_match_scalar_arithmetic(q):
     # terms against the scalar pow and mul, add_runs against the scalar add.
-    # The largest exponent sets terms' paths: a table of exp for small ones
-    # at 500 points, % mod q - 1 for 300, and a float64 product for 2^24.
+    # The largest exponent sets the product's type: float32 for 3 and 300,
+    # float64 for 2^24.
     # The last term, (big, 0, 1) with coefficient r = g^(q-2), reaches the
     # largest sum of logs at the point (r : r : r).
     F = GF.from_order(q)

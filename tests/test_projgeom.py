@@ -131,18 +131,19 @@ def _naive_value(F, f, point):
 @given(st.data())
 def test_evaluate_forms_matches_naive_products(data):
     # Odd p with e > 1 (27, 49) and uint16 elements with no add table (343,
-    # 512) included.  Degree 0 gives constant forms (0^0 = 1); the forms
-    # draw their terms from one small pool of monomials, so they share some,
-    # and a form may have no terms at all.
+    # 512) included.  Degree 0 gives constant forms (0^0 = 1).  A form's
+    # terms come from all monomials of the degree or from one small pool,
+    # so forms share some, and a form may have no terms at all.
     q = data.draw(st.sampled_from([2, 3, 4, 5, 8, 9, 25, 27, 49, 343, 512]))
     F = GF.from_order(q)
     m = data.draw(st.integers(1, 3))
     degree = data.draw(st.integers(0, 4))
     monos = st.sampled_from(enumerate_monomials(m, degree))
-    pool = data.draw(st.lists(monos, min_size=1, max_size=4))
+    pool = data.draw(st.lists(monos, min_size=1, max_size=8))
+    keys = monos | st.sampled_from(pool)
     element = st.integers(0, F.q - 1)
     forms = [
-        Form(F, m, degree, data.draw(st.dictionaries(st.sampled_from(pool), element, max_size=4)))
+        Form(F, m, degree, data.draw(st.dictionaries(keys, element, max_size=5)))
         for _ in range(data.draw(st.integers(1, 4)))
     ]
     # Any vectors, the zero vector and coordinates equal to 0 included.

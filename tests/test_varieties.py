@@ -338,7 +338,8 @@ def test_flag_counts_match_formula():
 def test_flag_pair_table_over_budget_is_refused():
     # P^11(F_3) has 265,720 points, so the pair table would hold 265,720^2 * 12
     # entries; the refusal comes before the table is made.
-    with pytest.raises(BudgetExceeded, match="points and hyperplanes of P\\^11"):
+    refused = r"hyperplanes of P\^11\(F_3\) needs ~\d+ array entries"
+    with pytest.raises(BudgetExceeded, match=refused):
         flag_points(12, F3)
 
 
