@@ -53,13 +53,14 @@ def _load_json_arg(arg: str):
     """Inline JSON, or @path to read it from a file.
 
     Every ValueError is bad input: a JSONDecodeError, the bare ValueError of an
-    integer past Python's int-string digit limit, or a file that is not UTF-8."""
+    integer past Python's int-string digit limit, or a file that is not UTF-8.
+    So is the RecursionError of arrays or objects nested past the parser's depth."""
     try:
         if arg.startswith("@"):
             with open(arg[1:], "r", encoding="utf-8") as fh:
                 return json.load(fh)
         return json.loads(arg)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -241,10 +242,8 @@ def cmd_compare(args) -> int:
             lines.append(",".join(_cell(row, c) for c in _COMPARE_COLUMNS))
         _write_text("\n".join(lines) + "\n", args.out)
     else:
-        widths = {
-            c: max(len(c), *(len(_cell(r, c)) for r in rows))
-            for c in _COMPARE_COLUMNS
-        }
+        good = [r for r in rows if "error" not in r]  # error rows are one free-form line
+        widths = {c: max([len(c), *(len(_cell(r, c)) for r in good)]) for c in _COMPARE_COLUMNS}
         lines = ["  ".join(c.ljust(widths[c]) for c in _COMPARE_COLUMNS)]
         for row in rows:
             if "error" in row:

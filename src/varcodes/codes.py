@@ -24,7 +24,7 @@ describes either.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import isqrt
@@ -41,7 +41,7 @@ from .errors import (
     check_budget,
     invariant,
 )
-from .families import build_point_set, check_descriptor, require_fields
+from .families import build_point_set, check_descriptor, predict, require_fields
 from .gf import GF
 from .linalg import Matrix, pivot_patterns, rref
 from .projgeom import Form, enumerate_monomials, evaluate_forms, monomial_name
@@ -96,8 +96,6 @@ class LinearCode:
     basis_labels: list[str]
     provenance: dict
     kernel_dim: int = 0
-    _d: int | None = dc_field(default=None, repr=False)
-    _wdist: WeightEnumerator | None = dc_field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -382,18 +380,18 @@ def _check_budget(code: LinearCode, r: int, budget: int, what: str) -> None:
     check_budget(code.n * gaussian_binomial(code.k, r, code.field.q), what, budget)
 
 
+def _least_support(code: LinearCode, r: int, budget: int, what: str) -> int:
+    _check_budget(code, r, budget, what)
+    return int(min(_scan(code, r, np.min)))
+
+
 def min_distance(
     code: LinearCode, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> int:
     """Exact minimum distance: the least weight over the scalar classes.
 
-    Up to GF(7) the weights come from float32 products (_class_weights), from
-    GF(8) on from the bit engine, whose byte compares then cost less.
     Ignores workers: the scan is sequential (the benchmark still passes it)."""
-    if code._d is None:
-        _check_budget(code, 1, budget, "minimum distance enumeration")
-        code._d = int(min(_scan(code, 1, np.min)))
-    return code._d
+    return _least_support(code, 1, budget, "minimum distance enumeration")
 
 
 def weight_distribution(
@@ -401,11 +399,8 @@ def weight_distribution(
 ) -> WeightEnumerator:
     """Exact weight enumerator: the scalar-class histogram times q - 1, plus 0.
 
-    Up to GF(7) the weights come from float32 products (_class_weights), from
-    GF(8) on from the bit engine, whose byte compares then cost less.
+    Its least nonzero weight, support()[0], is the minimum distance.
     Ignores workers: the scan is sequential (the benchmark still passes it)."""
-    if code._wdist is not None:
-        return code._wdist
     q, n = code.field.q, code.n
     _check_budget(code, 1, budget, "weight distribution enumeration")
 
@@ -415,11 +410,7 @@ def weight_distribution(
     hist = (q - 1) * sum(_scan(code, 1, histogram))
     hist[0] += 1
     invariant(int(hist.sum()) == q**code.k, "weight enumerator normalization failed")
-    counts = {w: int(c) for w, c in enumerate(hist) if c}
-    code._wdist = WeightEnumerator(counts)
-    if code._d is None and len(counts) > 1:
-        code._d = min(w for w in counts if w > 0)
-    return code._wdist
+    return WeightEnumerator({w: int(c) for w, c in enumerate(hist) if c})
 
 
 def ghw(
@@ -427,31 +418,26 @@ def ghw(
 ) -> int:
     """r-th generalized Hamming weight: the least support of an r-dim subcode.
 
-    r = 1 up to GF(7) takes the same float32 products as min_distance; r >= 2
-    and larger fields take the bit engine.
     Ignores workers: the scan is sequential (the benchmark still passes it)."""
     if not 1 <= r <= code.k:
         raise InvalidParams(f"need 1 <= r <= k = {code.k}, got {r}")
-    _check_budget(code, r, budget, "subspace enumeration")
-    return int(min(_scan(code, r, np.min)))
+    return _least_support(code, r, budget, "subspace enumeration")
 
 
 def eckardt_detect(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff a degree-6 blow-up code has the depressed minimum distance.
 
-    d = q^2 + 4q means the configuration has an Eckardt point (three
-    concurrent lines in a plane section); d = q^2 + 4q + 1 is the generic
-    case.  Anything else signals a construction bug.
+    The del Pezzo prediction's d_options are q^2 + 4q (an Eckardt point:
+    three concurrent lines in a plane section) and q^2 + 4q + 1 (the generic
+    case).  Anything else signals a construction bug.
     """
     desc = code.provenance.get("descriptor", {})
     if desc.get("family") != "del_pezzo" or desc.get("l") != 6:
         raise InputError("Eckardt detection applies to l = 6 blow-up codes only")
-    q = code.field.q
+    eckardt, generic = predict(VarietyDescriptor.from_dict(desc), 1, code.field.q).d_options
     d = min_distance(code, budget)
-    if d == q * q + 4 * q:
-        return True
-    if d == q * q + 4 * q + 1:
-        return False
+    if d in (eckardt, generic):
+        return d == eckardt
     raise UnexpectedDistance(
-        f"d = {d} is outside {{q^2+4q, q^2+4q+1}} = {{{q*q+4*q}, {q*q+4*q+1}}}"
+        f"d = {d} is outside {{q^2+4q, q^2+4q+1}} = {{{eckardt}, {generic}}}"
     )

@@ -11,6 +11,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import comb
 
 import numpy as np
 
@@ -64,10 +65,14 @@ def canonicalize(fld: GF, v) -> tuple[int, ...]:
 def enumerate_monomials(m: int, h: int) -> list[Exponents]:
     """Exponent vectors of the C(m+h, h) degree-h monomials in x0..xm.
 
-    Graded-lex order with x0 heaviest: x0^h first, xm^h last.
+    Graded-lex order with x0 heaviest: x0^h first, xm^h last.  Raises
+    BudgetExceeded, before any tuple is made, if the exponent vectors hold
+    over DEFAULT_BUDGET entries.
     """
     if m < 0 or h < 0:
         raise InvalidParams("need m >= 0 and h >= 0")
+    what = f"enumerating the degree-{h} monomials in x0..x{m}"
+    check_budget(comb(m + h, h) * (m + 1), what, unit="array entries")
 
     def rec(nvars: int, deg: int):
         if nvars == 1:

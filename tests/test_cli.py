@@ -129,14 +129,22 @@ def test_compare_row_failure_is_recorded_not_fatal(capsys):
 
 
 def test_compare_table_and_csv_formats(capsys):
-    specs = json.dumps([{"descriptor": {"family": "projective_space", "m": 2}, "q": 2}])
+    good = {"descriptor": {"family": "projective_space", "m": 2}, "q": 2}
+    bad = {"descriptor": {"family": "del_pezzo", "l": 6}, "q": 2}  # q > 4 needed
+    specs = json.dumps([good, bad])
     rc, out, _ = run(capsys, "compare", specs, "--format", "table")
-    assert rc == 0 and "projective_space(m=2)" in out
+    assert rc == 0
+    header, row, error = out.strip().split("\n")
+    # The error row's 31-character repr does not widen the family column.
+    assert header.startswith("family                 q  ")
+    assert row.startswith("projective_space(m=2)  2  ")
+    assert error.startswith("{'family': 'del_pezzo', 'l': 6}: ERROR ")
     rc, out, _ = run(capsys, "compare", specs, "--format", "csv")
     assert rc == 0
-    header, row = out.strip().split("\n")
+    header, row, error = out.strip().split("\n")
     assert header.startswith("family,q,h,n,k,d")
     assert ",7,3,4," in row
+    assert error.startswith("{'family': 'del_pezzo'")
 
 
 def test_export_csv(tmp_path, capsys):
@@ -175,6 +183,14 @@ def test_oversized_construction_exits_3(capsys):
         assert " array entries, budget is " in err
     rc, out, _ = run(capsys, "compare", f'[{{"descriptor":{desc},"q":2}}]', "--format", "json")
     assert rc == 0 and "enumerating P^40(F_2)" in json.loads(out)[0]["error"]
+    # C(100002, 2) degree-100000 monomials on P^2: refused before the tuples are made.
+    plane, what = '{"family":"projective_space","m":2}', "enumerating the degree-100000 monomials"
+    rc, out, err = run(capsys, "build", plane, "--q", "2", "--h", "100000")
+    assert (rc, out) == (3, "")
+    assert err.startswith(f"budget exceeded: {what} in x0..x2 needs ~15000450003 array entries")
+    specs = f'[{{"descriptor":{plane},"q":2,"h":100000}}]'
+    rc, out, _ = run(capsys, "compare", specs, "--format", "json")
+    assert rc == 0 and what in json.loads(out)[0]["error"]
 
 
 def test_byte_identical_reruns(capsys):

@@ -248,13 +248,13 @@ def test_eckardt_detect_branches_synthetic():
     prov = {"descriptor": {"family": "del_pezzo", "l": 6}, "h": 1, "q": 5}
     gen = Matrix(F5, [[1] * 4])
     fake = LinearCode(F5, gen, [""] * 4, [""], prov)
-    fake._d = 45
-    assert eckardt_detect(fake) is True
-    fake._d = 46
-    assert eckardt_detect(fake) is False
-    fake._d = 40
-    with pytest.raises(UnexpectedDistance):
-        eckardt_detect(fake)
+    with mock.patch.object(codes, "min_distance", return_value=45):
+        assert eckardt_detect(fake) is True
+    with mock.patch.object(codes, "min_distance", return_value=46):
+        assert eckardt_detect(fake) is False
+    with mock.patch.object(codes, "min_distance", return_value=40):
+        with pytest.raises(UnexpectedDistance):
+            eckardt_detect(fake)
 
 
 def test_artifact_round_trip(tmp_path):
@@ -445,7 +445,6 @@ def test_engine_matches_naive_reference_across_word_sizes(n, q):
         code = LinearCode(F, reduced, [""] * n, [""] * k, {})
         with mock.patch.object(codes, "BLOCK", block):
             assert weight_distribution(code).counts == hist
-            code._d = None
             assert min_distance(code) == min(w for w in hist if w)
             assert [ghw(code, r) for r in range(1, k + 1)] == hierarchy
 
@@ -455,7 +454,6 @@ def test_enumeration_frees_its_tables_on_return():
     # garbage collector off, nothing of them may outlive the call.
     code = _code("projective_space", {"m": 2}, 2, F8)  # [73,6]_8: the bit engine
     min_distance(code)
-    code._d = None
     gc.disable()
     tracemalloc.start()
     try:
@@ -488,7 +486,6 @@ def test_weight_distribution_folds_each_block_as_it_is_made(make):
     # the 73 blocks of [12000,5]_8.  Folded as they are made, ~1-2.5 MiB.
     code = make()
     weight_distribution(code)
-    code._wdist = None
     tracemalloc.start()
     try:
         weight_distribution(code)
@@ -505,7 +502,6 @@ def test_min_distance_holds_one_product_at_a_time():
     # 256 KiB.
     code = _code("projective_space", {"m": 2}, 3, F5)
     min_distance(code)
-    code._d = None
     tracemalloc.start()
     try:
         min_distance(code)

@@ -63,13 +63,20 @@ def run(capsys, *argv):
         (["analyze", "{big}"], "4300 digits"),
         (["export", "{big}"], "4300 digits"),
         (["analyze", "{latin1}"], "can't decode"),
+        # Arrays nested past the JSON parser's recursion limit ({deep}).
+        (["build", "@{deep}", "--q", "2"], "maximum recursion depth exceeded"),
+        (["compare", "@{deep}"], "maximum recursion depth exceeded"),
+        (["bound", "griesmer", "@{deep}"], "maximum recursion depth exceeded"),
+        (["analyze", "{deep}"], "maximum recursion depth exceeded"),
     ],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv, message):
-    big, latin1 = tmp_path / "big.json", tmp_path / "latin1.json"
+    big, latin1, deep = (tmp_path / f"{name}.json" for name in ("big", "latin1", "deep"))
     big.write_text('{"n":%s}' % BIG)
     latin1.write_bytes('{"point_labels":["é"]}'.encode("latin-1"))
-    argv = [a.replace("{big}", str(big)).replace("{latin1}", str(latin1)) for a in argv]
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for name, path in (("{big}", big), ("{latin1}", latin1), ("{deep}", deep)):
+        argv = [a.replace(name, str(path)) for a in argv]
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
