@@ -11,6 +11,8 @@ import functools
 import json
 import sys
 import time
+from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import bounds
 from .codes import (
@@ -72,22 +74,31 @@ def _write_text(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _dumps(obj, pad: str = "\n") -> str:
+def _dumps(obj, pad: str = "\n", text: Sequence[str] = ()) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
 
     With indent= the json module falls back to its pure-Python encoder; here
     only the containers are walked in Python, and a list of plain ints (a
-    generator row) is one join.  pad is the newline and indent before a
-    closing bracket.
+    generator row) or of plain strings (labels) is one join.  An int i below
+    len(text) is written as text[i], a field's element text (GF.array_ops),
+    other ints by str.  pad is the newline and indent before a closing
+    bracket.
     """
     inner = pad + "  "
     if isinstance(obj, dict) and set(map(type, obj)) <= {str}:
         left, right = "{}"
-        items = (f"{json.dumps(key)}: {_dumps(obj[key], inner)}" for key in sorted(obj))
+        items = (f"{_quote(key)}: {_dumps(obj[key], inner, text)}" for key in sorted(obj))
     elif isinstance(obj, (list, tuple)):
         left, right = "[]"
-        ints = set(map(type, obj)) <= {int}
-        items = map(str, obj) if ints else (_dumps(x, inner) for x in obj)
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            values = set(obj)  # a row of field elements has few distinct values
+            in_text = 0 <= min(values) and max(values) < len(text)
+            items = map(text.__getitem__ if in_text else str, obj)
+        elif kinds == {str}:
+            items = map(_quote, obj)
+        else:
+            items = (_dumps(x, inner, text) for x in obj)
     elif isinstance(obj, dict):  # keys that json itself converts to strings
         return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
     else:
@@ -97,8 +108,10 @@ def _dumps(obj, pad: str = "\n") -> str:
     return left + inner + ("," + inner).join(items) + pad + right
 
 
-def _emit(payload, out_path: str | None):
-    _write_text(_dumps(payload) + "\n", out_path)
+def _emit(payload, out_path: str | None, fld: GF | None = None):
+    """Write payload as indented JSON; fld's element text writes its int lists."""
+    text = fld.array_ops().text.tolist() if fld is not None else ()
+    _write_text(_dumps(payload, text=text) + "\n", out_path)
 
 
 def cmd_field(args) -> int:
@@ -107,7 +120,7 @@ def cmd_field(args) -> int:
     payload["generator"] = fld.generator
     if args.tables:
         payload["exp"] = list(fld.exp)
-    _emit(payload, args.out)
+    _emit(payload, args.out, fld)
     return 0
 
 
@@ -116,7 +129,7 @@ def cmd_points(args) -> int:
     points = build_point_set(desc, GF.from_order(args.q))
     payload = points.to_dict()
     payload["descriptor"] = desc.to_dict()
-    _emit(payload, args.out)
+    _emit(payload, args.out, points.field)
     return 0
 
 
@@ -124,7 +137,7 @@ def cmd_build(args) -> int:
     desc = VarietyDescriptor.from_dict(_load_json_arg(args.descriptor))
     code = code_from_descriptor(desc, args.h, GF.from_order(args.q))
     if args.out:
-        _emit(code.to_dict(), args.out)
+        _emit(code.to_dict(), args.out, code.field)
     _emit({"n": code.n, "k": code.k, "kernel_dim": code.kernel_dim}, None)
     return 0
 
@@ -261,7 +274,7 @@ def cmd_export(args) -> int:
     if args.format == "csv":
         _write_text(code.to_csv(), args.out)
     else:
-        _emit(code.to_dict(), args.out)
+        _emit(code.to_dict(), args.out, code.field)
     return 0
 
 

@@ -148,7 +148,8 @@ class LinearCode:
         )
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(map(str, row)) for row in self.generator.rows.tolist()) + "\n"
+        text = self.field.array_ops().text
+        return "\n".join(map(",".join, text[self.generator.rows].tolist())) + "\n"
 
 
 # -- construction -----------------------------------------------------------------

@@ -251,7 +251,7 @@ def _check_complete_intersection(p: Params, q: int) -> None:
 
 def _projective_points(p: Params, fld: GF) -> PointSet:
     pts = enumerate_projective_points(p["m"], fld, p.get("affine", False))
-    return PointSet(fld, p["m"], pts, point_labels(pts))
+    return PointSet(fld, p["m"], pts, point_labels(pts, fld))
 
 
 def _quadric_points(p: Params, fld: GF) -> PointSet:

@@ -6,7 +6,7 @@ additive identity.  This module is the only one that knows the encoding:
 the rest of the package goes through the scalar operations of GF, or through
 GF.array_ops on numpy arrays of indices: elementwise add, neg, mul and pow,
 the scalar multiples of a vector, the values of many monomial terms at many
-points, and the sums of runs of rows.
+points, the sums of runs of rows, and the decimal text of every index.
 
 Each field builds its tables once, at construction.  Multiplication,
 inversion and powers go through generator-power (exp/log) tables.  Addition
@@ -14,8 +14,9 @@ is digitwise mod p: XOR of the indices when p = 2.  For odd p a negation
 table and, up to q = 256, the q x q addition table are computed with numpy
 from the digit rule; above q = 256, where that table would not fit, the digit
 rule runs on each call.  Scalar and array operations read the same tables;
-the array mul and pow are exp of a sum or multiple of logs, masked to 0 where
-a factor is 0.
+the array pow is exp of a multiple of logs, masked to 0 where the base is 0,
+and the array mul one lookup of a sum of logs in the exp table repeated once
+and padded with zeros, where the log of 0 lands.
 
 The modulus is canonical: the monic irreducible of degree e over GF(p)
 whose coefficient vector, read as a base-p integer with the constant term
@@ -283,7 +284,10 @@ class GF:
             (T, m + 1) exponent matrix E and the T coefficients c;
           add_runs(a, starts): the sums of the runs of rows of a that begin
             at the strictly increasing row indices starts (the last run ends
-            at the last row), one row per run, like np.add.reduceat.
+            at the last row), one row per run, like np.add.reduceat;
+        and text, the read-only object array of str(i) for every index i, so
+        text[a] is the decimal text of an index array a without a str() call
+        per entry.
         """
         return self._ops
 
@@ -305,8 +309,15 @@ class GF:
                 def add(a, b):
                     return self._digitwise(a.astype(np.int32), b.astype(np.int32), 1).astype(dtype)
 
+        # For mul, 0 has the log 2(q - 1), past every sum of two true logs; the
+        # exp table is repeated once (sums up to 2(q - 2)) and padded with
+        # zeros up to the sum of two zero logs, so a product is one lookup.
+        mul_log = np.array(self.log, np.int32)
+        mul_log[0] = 2 * (q - 1)
+        mul_exp = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype)])
+
         def mul(a, b):
-            return np.where(np.logical_and(a, b), exp[(log[a] + log[b]) % (q - 1)], 0)
+            return mul_exp[mul_log[a] + mul_log[b]]
 
         def pow(a, n):
             return np.where(a != 0, exp[log[a] * n % (q - 1)], np.equal(n, 0))
@@ -349,9 +360,11 @@ class GF:
                     out += (sums % p * p**i).astype(dtype)
                 return out
 
+        text = np.array([str(i) for i in range(q)], object)
+        text.flags.writeable = False
         return SimpleNamespace(
             dtype=dtype, add=add, neg=neg, mul=mul, pow=pow, multiples=multiples,
-            terms=terms, add_runs=add_runs,
+            terms=terms, add_runs=add_runs, text=text,
         )
 
     # -- enumeration & serialization ------------------------------------------

@@ -7,10 +7,11 @@ directions in P^1 order.  A PointSet holds the ordered evaluation columns
 with per-point origin labels.  Constructions select rows with masks, join
 them with np.concatenate and form products by broadcasting GF.array_ops.
 
-Grassmann points are Pluecker coordinates, computed per pivot pattern in one
-batch.  Schubert points are the Pluecker section p_S = 0 for every S not
-below alpha (Ghorpade-Tsfasman, "Schubert varieties, linear codes and
-enumerative combinatorics", Finite Fields Appl. 2005).
+Grassmann points are Pluecker coordinates, computed for the stacked RREF
+bases of every pivot pattern in one batch.  Schubert points are the Pluecker
+section p_S = 0 for every S not below alpha (Ghorpade-Tsfasman, "Schubert
+varieties, linear codes and enumerative combinatorics", Finite Fields Appl.
+2005).
 
 Arguments are trusted: descriptors are validated once, against the family
 table (`families.check_descriptor`), before any construction here runs.
@@ -22,6 +23,7 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cache, reduce
 from itertools import combinations, compress
+from math import comb
 from operator import or_
 from typing import Any
 
@@ -49,9 +51,9 @@ from .projgeom import (
 )
 
 
-def point_labels(points: np.ndarray) -> list[str]:
-    """The label "(x0:x1:...)" of each row of a point array."""
-    return ["(" + ":".join(map(str, p)) + ")" for p in points.tolist()]
+def point_labels(points: np.ndarray, fld: GF) -> list[str]:
+    """The label "(x0:x1:...)" of each row of a point array over fld."""
+    return ["(" + ":".join(p) + ")" for p in fld.array_ops().text[points].tolist()]
 
 
 @dataclass
@@ -217,7 +219,7 @@ def hypersurface_points(f: Form) -> PointSet:
     fld = f.field
     pts = enumerate_projective_points(f.ambient, fld)
     pts = pts[evaluate_forms([f], pts)[0] == 0]
-    return PointSet(fld, f.ambient, pts, point_labels(pts))
+    return PointSet(fld, f.ambient, pts, point_labels(pts, fld))
 
 
 def hermitian_form(m: int, r: int, fld: GF) -> Form:
@@ -235,25 +237,31 @@ def hermitian_form(m: int, r: int, fld: GF) -> Form:
 def grassmann_points(l: int, m: int, fld: GF) -> PointSet:
     """One canonical maximal-minor coordinate vector per l-subspace of F_q^m.
 
-    Subspaces come by pivot pattern, each as its RREF basis; the minors of
-    all bases of one pattern are computed in one batch.
+    Subspaces come by pivot pattern, each as its RREF basis; the bases of
+    all patterns are stacked and their minors computed in one batch.  Raises
+    BudgetExceeded, before any allocation, if the batch's largest array
+    would hold over DEFAULT_BUDGET entries: one row per subspace, of its
+    l * m basis entries or of its minors of the most numerous size.
     """
-    dtype = fld.array_ops().dtype
-    label = "span[" + ", ".join(["[" + ", ".join(["{}"] * m) + "]"] * l) + "]"
-    coords, labels = [], []
+    q, ops = fld.q, fld.array_ops()
+    expected = bounds.gaussian_binomial(m, l, q)
+    what = f"computing the Pluecker coordinates of G({l},{m}) over F_{q}"
+    check_budget(expected * max(l * m, comb(m, min(l, m // 2))), what, unit="array entries")
+    blocks = []
     for pivots, free in pivot_patterns(l, m):
-        reps = np.zeros((fld.q ** len(free), l, m), dtype)
+        reps = np.zeros((q ** len(free), l, m), ops.dtype)
         reps[:, range(l), pivots] = 1
         if free:
             rows, cols = zip(*free)
-            reps[:, rows, cols] = np.indices((fld.q,) * len(free)).reshape(len(free), -1).T
-        coords.append(maximal_minors(fld, reps))
-        labels += map(label.format, *reps.reshape(len(reps), -1).T.tolist())
-    coords = np.concatenate(coords)
+            reps[:, rows, cols] = np.indices((q,) * len(free)).reshape(len(free), -1).T
+        blocks.append(reps)
+    reps = np.concatenate(blocks)
+    invariant(len(reps) == expected, f"{len(reps)} subspaces, expected {expected}")
+    coords = maximal_minors(fld, reps)
     lead = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
     invariant(bool((lead == 1).all()), "pivot minor should lead")
-    expected = bounds.gaussian_binomial(m, l, fld.q)
-    invariant(len(coords) == expected, f"{len(coords)} subspaces, expected {expected}")
+    label = "span[" + ", ".join(["[" + ", ".join(["{}"] * m) + "]"] * l) + "]"
+    labels = list(map(label.format, *ops.text[reps.reshape(len(reps), -1).T].tolist()))
     return PointSet(fld, coords.shape[1] - 1, coords, labels)
 
 
@@ -290,7 +298,7 @@ def flag_points(m: int, fld: GF) -> PointSet:
     trace = reduce(ops.add, np.moveaxis(products, -1, 0))
     x, y = np.nonzero(trace == 0)  # x-major, as the pairs are enumerated
     pts = ops.mul(reps[x, :, None], reps[y, None, :]).reshape(len(x), m * m)
-    names = point_labels(reps)
+    names = point_labels(reps, fld)
     labels = [f"P={names[i]} H={names[j]}" for i, j in zip(x.tolist(), y.tolist())]
     expected = bounds.flag_count(m, fld.q)
     invariant(len(pts) == expected, f"{len(pts)} flags, expected {expected}")
@@ -385,14 +393,14 @@ def delpezzo_points(l: int, fld: GF) -> tuple[PointSet, list[Form], np.ndarray]:
     ops = fld.array_ops()
     ordinary = np.delete(plane, chosen, axis=0)
     columns = [evaluate_forms(basis, ordinary).T]
-    labels = point_labels(ordinary)
+    labels = point_labels(ordinary, fld)
     directions = enumerate_projective_points(1, fld)
     u, v = directions[:, :1], directions[:, 1:]
-    names = point_labels(directions)
+    names = point_labels(directions, fld)
     # grads[f, i, j]: df/dx_i of basis form f at base point j.
     grads = evaluate_forms([f.partial(i) for f in basis for i in range(3)], base)
     grads = grads.reshape(len(basis), 3, len(base))
-    for j, (bp, bp_name) in enumerate(zip(base, point_labels(base))):
+    for j, (bp, bp_name) in enumerate(zip(base, point_labels(base, fld))):
         pivot = int(np.flatnonzero(bp)[0])  # leading 1
         a, b = [i for i in range(3) if i != pivot]
         # Direction (u, v) at bp gives the column of u * df/dx_a + v * df/dx_b.
@@ -446,14 +454,14 @@ def complete_intersection_points(forms: list[Form]) -> PointSet:
             "not a reduced complete intersection, Cayley-Bacharach bounds do not apply",
             stacklevel=2,
         )
-    return PointSet(fld, m, pts, point_labels(pts))
+    return PointSet(fld, m, pts, point_labels(pts, fld))
 
 
 def product_p1p1_points(fld: GF) -> PointSet:
     """All (q+1)^2 pairs of P^1 points, coordinates concatenated."""
     line = enumerate_projective_points(1, fld)
     pts = np.hstack([np.repeat(line, len(line), axis=0), np.tile(line, (len(line), 1))])
-    names = point_labels(line)
+    names = point_labels(line, fld)
     return PointSet(fld, 3, pts, [f"{a}x{b}" for a in names for b in names])
 
 

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from varcodes.cli import _dumps, main
+from varcodes.gf import GF
 
 
 def run(capsys, *argv):
@@ -29,11 +31,21 @@ _json_values = st.recursive(
 )
 
 
+_GF256_TEXT = GF(2, 8).array_ops().text.tolist()
+
+
 @settings(max_examples=150, deadline=None)
 @given(_json_values)
+@example(list(range(300)) * 3)
+@example([-1, 0, 1, -256, 255, 256, 65535, 2**70, -(2**70)])
+@example([1, True])
+@example([["é", "π", "\u2028", "\U0001f600"], ["tab\tquote\"", "\\"]])
 def test_json_writer_matches_indented_json_dumps(value):
     # Every payload and artifact goes through _dumps; json.dumps is the oracle.
-    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+    # Ints below 256 are written from the GF(256) element text, others by str.
+    expected = json.dumps(value, indent=2, sort_keys=True)
+    assert _dumps(value) == expected
+    assert _dumps(value, text=_GF256_TEXT) == expected
 
 
 def test_field_command(capsys):
@@ -156,6 +168,27 @@ def test_export_csv(tmp_path, capsys):
     assert len(lines) == 3 and all(len(l.split(",")) == 7 for l in lines)
 
 
+@pytest.mark.parametrize(
+    "desc,q,h",
+    [
+        ({"family": "grassmann", "l": 2, "m": 4}, 2, 1),
+        ({"family": "hermitian", "m": 2, "r": 3}, 9, 1),
+        ({"family": "projective_space", "m": 2}, 16, 2),
+        ({"family": "projective_space", "m": 1}, 257, 3),
+    ],
+)
+def test_export_csv_matches_artifact_rows(tmp_path, capsys, desc, q, h):
+    artifact = tmp_path / "code.json"
+    rc, _, _ = run(capsys, "build", json.dumps(desc), "--q", str(q), "--h", str(h),
+                   "--out", str(artifact))
+    assert rc == 0
+    rows = json.loads(artifact.read_text())["generator"]
+    assert max(map(max, rows)) == q - 1  # the largest element appears
+    rc, out, _ = run(capsys, "export", str(artifact), "--format", "csv")
+    assert rc == 0
+    assert out == "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def test_exit_code_2_on_bad_input(capsys):
     rc, _, err = run(capsys, "build", '{"no_family": true}', "--q", "2")
     assert rc == 2 and "input error" in err
@@ -183,6 +216,25 @@ def test_oversized_construction_exits_3(capsys):
         assert " array entries, budget is " in err
     rc, out, _ = run(capsys, "compare", f'[{{"descriptor":{desc},"q":2}}]', "--format", "json")
     assert rc == 0 and "enumerating P^40(F_2)" in json.loads(out)[0]["error"]
+    # G(4,10) over F_2 has 53743987 subspaces with 210 minors each, and the
+    # Schubert variety of alpha = (1,2,3,4) starts from all of them: refused
+    # before the stacked bases (2.1 GB) are made.
+    what = "computing the Pluecker coordinates of G(4,10) over F_2 needs ~11286237270 array"
+    grassmann = '{"family":"grassmann","l":4,"m":10}'
+    schubert = '{"family":"schubert","l":4,"m":10,"alpha":[1,2,3,4]}'
+    tracemalloc.start()
+    try:
+        for desc in (grassmann, schubert):
+            for command in ("build", "points"):
+                rc, out, err = run(capsys, command, desc, "--q", "2")
+                assert (rc, out) == (3, "")
+                assert err.startswith(f"budget exceeded: {what} entries")
+            rc, out, _ = run(capsys, "compare", f'[{{"descriptor":{desc},"q":2}}]', "--format", "json")
+            assert rc == 0 and what in json.loads(out)[0]["error"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     # C(100002, 2) degree-100000 monomials on P^2: refused before the tuples are made.
     plane, what = '{"family":"projective_space","m":2}', "enumerating the degree-100000 monomials"
     rc, out, err = run(capsys, "build", plane, "--q", "2", "--h", "100000")

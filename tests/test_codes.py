@@ -4,6 +4,7 @@ import gc
 import random
 import threading
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from itertools import combinations, product
 from math import comb
@@ -22,7 +23,6 @@ from varcodes.codes import (
     eckardt_detect,
     ghw,
     min_distance,
-    weight_distribution,
 )
 from varcodes.errors import (
     BudgetExceeded,
@@ -42,6 +42,38 @@ F2, F3, F4, F5, F7, F8, F9 = (
 
 def _code(family, params, h, fld):
     return code_from_descriptor(VarietyDescriptor(family, params), h, fld)
+
+
+def _assert_pless_moments(code, wd):
+    """The first two Pless power moments of wd, from the generator's columns alone.
+
+    Summed over all codewords, w counts the nonzero columns c with u.c != 0,
+    and w^2 the ordered pairs of them: (q-1)q^(k-1) words for one column or a
+    proportional pair, (q-1)^2 q^(k-2) for two independent columns
+    (MacWilliams-Sloane, ch. 5).
+    """
+    fld, q, k = code.field, code.field.q, code.k
+    points = Counter()  # nonzero columns, scaled to a leading 1
+    for col in code.generator.rows.T.tolist():
+        lead = next((x for x in col if x), 0)
+        if lead:
+            points[tuple(fld.mul(fld.inv(lead), x) for x in col)] += 1
+    nonzero = sum(points.values())
+    proportional = sum(comb(c, 2) for c in points.values())
+    one = (q - 1) * q ** (k - 1)
+    two = (q - 1) ** 2 * q ** (k - 2) if k >= 2 else 0  # k = 1: no independent pair
+    independent = comb(nonzero, 2) - proportional
+    assert sum(w * a for w, a in wd.counts.items()) == nonzero * one
+    assert sum(w * w * a for w, a in wd.counts.items()) == nonzero * one + 2 * (
+        proportional * one + independent * two
+    )
+
+
+def weight_distribution(code, *args, **kwargs):
+    """codes.weight_distribution, checked against the Pless power moments."""
+    wd = codes.weight_distribution(code, *args, **kwargs)
+    _assert_pless_moments(code, wd)
+    return wd
 
 
 def test_projective_rm_h1_gf2():
@@ -488,7 +520,7 @@ def test_weight_distribution_folds_each_block_as_it_is_made(make):
     weight_distribution(code)
     tracemalloc.start()
     try:
-        weight_distribution(code)
+        codes.weight_distribution(code)  # the engine alone, without the moment check
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -20,7 +20,7 @@ from varcodes.errors import (
 )
 from varcodes.families import build_point_set, check_descriptor
 from varcodes.gf import GF
-from varcodes.linalg import Matrix, rank
+from varcodes.linalg import Matrix, maximal_minors, pivot_patterns, rank
 from varcodes.projgeom import (
     Form,
     canonicalize,
@@ -199,6 +199,43 @@ def test_grassmann_lines_equal_projective_space(q, m):
     fld = GF.from_order(q)
     pts = grassmann_points(1, m, fld)
     assert pts.points.tolist() == enumerate_projective_points(m - 1, fld).tolist()
+
+
+@pytest.mark.parametrize("l,m,q", [(1, 3, 4), (2, 4, 3), (3, 6, 2), (2, 5, 3)])
+def test_grassmann_points_match_per_pattern_minors(monkeypatch, l, m, q):
+    # Reference: the RREF bases of one pivot pattern at a time, free entries
+    # in product order, one maximal_minors call per pattern, str labels.
+    fld = GF.from_order(q)
+    coords, labels = [], []
+    for pivots, free in pivot_patterns(l, m):
+        reps = []
+        for values in product(range(q), repeat=len(free)):
+            rep = [[int(c == p) for c in range(m)] for p in pivots]
+            for (i, c), v in zip(free, values):
+                rep[i][c] = v
+            reps.append(rep)
+        coords += maximal_minors(fld, np.array(reps, fld.array_ops().dtype)).tolist()
+        labels += ["span" + str(rep) for rep in reps]
+    calls = []
+    monkeypatch.setattr(varieties, "maximal_minors", lambda *a: calls.append(a) or maximal_minors(*a))
+    pts = grassmann_points(l, m, fld)
+    assert len(calls) == 1
+    assert pts.points.tolist() == coords
+    assert pts.labels == labels
+
+
+@pytest.mark.parametrize("q", [2, 9, 16, 257])
+def test_point_labels_match_str_join(q):
+    fld = GF.from_order(q)
+    dtype = fld.array_ops().dtype
+    rng = np.random.default_rng(q)
+    for pts in (
+        enumerate_projective_points(2, fld),
+        rng.integers(0, q, (200, 5)).astype(dtype),
+        np.zeros((0, 3), dtype),
+    ):
+        expected = ["(" + ":".join(map(str, p)) + ")" for p in pts.tolist()]
+        assert varieties.point_labels(pts, fld) == expected
 
 
 @pytest.mark.parametrize("q", [2, 3])
