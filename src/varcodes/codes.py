@@ -16,9 +16,13 @@ positions where the two halves of a message disagree (n minus a hyperplane
 section), and one product counts them for a whole block of classes.  Where
 one operand holds whole rows, each one-hot operand is built once, not once
 per pair of blocks.  The cost grows with q (2q flops per class and
-position), so from GF(8) on, and for r >= 2, the bit engine runs.  Both
-engines count every class once, so the budget estimate n * [k choose r]_q
-describes either.
+position), so from GF(8) on, and for r >= 2, the bit engine runs.  A split
+of the generator whose column halves repeat (long codes with few rows, such
+as the Grassmann codes) is folded: its products run over the distinct
+halves, with a matrix counting the columns of each pair, which each split
+chooses by comparing flop counts.  Both engines count every class once, so
+the budget estimate n * [k choose r]_q describes either; on folded splits
+it is an upper bound.
 """
 
 from __future__ import annotations
@@ -296,6 +300,45 @@ def _onehot(test, t, q: int) -> np.ndarray:
     return out.reshape(len(t), -1)
 
 
+def _distinct_columns(part: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of part, and the index of each column among them."""
+    key = np.zeros(part.shape[1], dtype=np.int64)  # base-q digits, below q^rows
+    for row in part:
+        key = key * q + row
+    _, first, index = np.unique(key, return_index=True, return_inverse=True)
+    return part[:, first], index
+
+
+# Splits whose plain products take fewer multiply-adds are not grouped: the
+# grouping costs about 0.1 ms, and 16 BLOCK multiply-adds of float32 products
+# take about 0.5 ms, so below that it could not save much more than it costs.
+_FOLD_FLOOR = 16 * BLOCK
+
+
+def _fold(g: np.ndarray, a: int, q: int, ops) -> tuple:
+    """(lead parts, tail parts, H^T) of the split of g after its first a rows.
+
+    Folded, the parts are the m1 distinct G' and the m2 distinct G'' parts of
+    the columns, each column scaled to a leading 1, and H^T is the (m2, m1)
+    float32 count of the columns with each pair.  Plain, they are G' and G''
+    themselves and H^T is None: each column is its own part.  The split
+    folds when its plain products take at least _FOLD_FLOOR multiply-adds
+    and the folded ones fewer: q N_tail m2 m1 + N_lead N_tail q m1 against
+    N_lead N_tail q n.
+    """
+    n = g.shape[1]
+    nlead, ntail = (q**a - 1) // (q - 1), q ** (len(g) - a)
+    if nlead * ntail * q * n >= _FOLD_FLOOR and q**a < 2**63:  # keys fit int64
+        first = g[(g != 0).argmax(axis=0), np.arange(n)]  # 0 on a zero column
+        scaled = ops.mul(g, ops.pow(first, q - 2))
+        (lead, i1), (tail, i2) = _distinct_columns(scaled[:a], q), _distinct_columns(scaled[a:], q)
+        m1, m2 = lead.shape[1], tail.shape[1]
+        if m1 * (m2 + nlead) < nlead * n:
+            h = np.bincount(i2 * m1 + i1, minlength=m2 * m1).astype(np.float32)
+            return lead, tail, h.reshape(m2, m1)
+    return g[:a], g[a:], None
+
+
 def _class_weights(code: LinearCode, fold) -> Iterator:
     """fold(weights) of every block of the scalar classes, by float32 products.
 
@@ -307,53 +350,76 @@ def _class_weights(code: LinearCode, fold) -> Iterator:
     and u2 G'' differ: the dot product of their one-hot rows, the first one
     complemented.  So one float32 product weighs a whole block of classes.
     u2 runs over a span, which is closed under negation, so these are the
-    weights of u1 G' + u2 G'' too.  The terms are 0/1 and every sum is at
-    most n < 2^24, so the weights are exact in whatever order BLAS adds them.
+    weights of u1 G' + u2 G'' too.
 
-    A block is at most sqrt(BLOCK // 16) classes on a side, and its columns
-    are cut so that an operand holds at most BLOCK // 4 float32 entries (the
-    bytes of the bit engine's table): long codes still get square products.
-    Each operand is built once: when one chunk covers the columns, a tail
-    block's one-hot serves every lead block, and the whole lead's one-hot is
-    built once if it fits the same cap; cut columns take per-chunk operands.
-    The float32 weights go to fold as they are.
+    A weight depends only on the multiset of the columns, and scaling a
+    column keeps every weight.  So a split may fold its columns (see _fold):
+    with c1 over the distinct G' parts, c2 over the distinct G'' parts and
+    H[c1, c2] the number of columns with that pair, the weight is
+    sum_x NotEq_x(u1 c1) H Eq_x(u2 c2)^T.  The tail's one-hot times H^T is
+    one product per tail block, and the lead's one-hot spans m1 parts, not n
+    columns.  Every term and partial sum is a count of at most n < 2^24, so
+    the weights are exact in whatever order BLAS adds them.
+
+    A block is at most sqrt(BLOCK // 16) classes on a side, and the parts
+    are cut so that a one-hot operand holds at most BLOCK // 4 float32
+    entries (the bytes of the bit engine's table): long codes still get
+    square products.  When one chunk covers the lead parts, each tail
+    block's operand is built once for every lead block, and the whole lead's
+    one-hot once if it fits the same cap.  Cut parts take per-chunk lead
+    operands, and a tail block's partial products are held until its last
+    chunk.  The float32 weights go to fold as they are.
     """
-    n, q = code.n, code.field.q
+    q = code.field.q
     ops = code.field.array_ops()
     side, cap = max(1, isqrt(BLOCK // 16)), BLOCK // 4
 
     def span(g):
-        s = np.zeros((1, n), dtype=ops.dtype)
+        s = np.zeros((1, g.shape[1]), dtype=ops.dtype)
         for row in g[::-1]:
-            s = ops.add(ops.multiples(row)[:, None], s[None]).reshape(-1, n)
+            s = ops.add(ops.multiples(row)[:, None], s[None]).reshape(-1, g.shape[1])
         return s
 
     g = code.generator.rows
     while len(g):
         a = -(-len(g) // 2)
-        rest = span(g[1:a])  # span(g[p+1:a]) is its first q^(a-1-p) rows
-        lead = np.concatenate([ops.add(g[p], rest[: q ** (a - 1 - p)]) for p in range(a)])
-        tail = span(g[a:])
+        lead_part, tail_part, h = _fold(g, a, q, ops)
+        m = lead_part.shape[1]
+        rest = span(lead_part[1:])  # span(parts[p+1:a]) is its first q^(a-1-p) rows
+        lead = np.concatenate([ops.add(lead_part[p], rest[: q ** (a - 1 - p)]) for p in range(a)])
+        tail = span(tail_part)
         na, nb = min(len(lead), side), min(len(tail), side)
-        width = min(n, max(1, cap // (max(na, nb) * q)))
-        fits = width == n and len(lead) * q * n <= cap
-        whole = _onehot(np.not_equal, lead, q) if fits else None
+        room = max(1, cap // (max(na, nb) * q))  # parts in one chunk
+        whole = _onehot(np.not_equal, lead, q) if m <= room and len(lead) * q * m <= cap else None
+
+        def right(t, c):
+            """The operand of the tail rows t for the lead parts c..c+room-1."""
+            if h is None:
+                return _onehot(np.equal, t[:, c : c + room], q)
+            w = sum(
+                _onehot(np.equal, t[:, e : e + room], q).reshape(len(t) * q, -1)
+                @ h[e : e + room, c : c + room]
+                for e in range(0, t.shape[1], room)
+            )
+            return w.reshape(len(t), -1)
+
         for i in range(0, len(tail), nb):
-            right = _onehot(np.equal, tail[i : i + nb], q).T if width == n else None
-            for j in range(0, len(lead), na):
-                if right is None:
-                    w = sum(
-                        _onehot(np.not_equal, lead[j : j + na, c : c + width], q)
-                        @ _onehot(np.equal, tail[i : i + nb, c : c + width], q).T
-                        for c in range(0, n, width)
-                    )
-                elif whole is None:
-                    w = _onehot(np.not_equal, lead[j : j + na], q) @ right
-                else:
-                    w = whole[j : j + na] @ right
-                yield fold(w.ravel())
-                del w  # free each product, and below each tail one-hot, before the next
-            del right
+            held = {}  # partial products of this tail block, by lead block
+            for c in range(0, m, room):
+                r = right(tail[i : i + nb], c).T
+                for j in range(0, len(lead), na):
+                    if whole is None:
+                        w = _onehot(np.not_equal, lead[j : j + na, c : c + room], q) @ r
+                    else:
+                        w = whole[j : j + na] @ r
+                    if j in held:
+                        w += held.pop(j)
+                    if c + room < m:
+                        held[j] = w
+                    else:
+                        yield fold(w.ravel())
+                    del w  # free each product, and below each tail operand, before the next
+                del r
         g = g[a:]
 
 
@@ -405,8 +471,13 @@ def weight_distribution(
     q, n = code.field.q, code.n
     _check_budget(code, 1, budget, "weight distribution enumeration")
 
+    step = max(4096, n + 1)  # weights cast and counted at a time: a small intp copy
+
     def histogram(w):  # float32 weights from the products, ints from the bit engine
-        return np.bincount(w.astype(np.intp, copy=False), minlength=n + 1)
+        return sum(
+            np.bincount(w[s : s + step].astype(np.intp), minlength=n + 1)
+            for s in range(0, len(w), step)
+        )
 
     hist = (q - 1) * sum(_scan(code, 1, histogram))
     hist[0] += 1

@@ -466,7 +466,13 @@ def product_p1p1_points(fld: GF) -> PointSet:
 
 
 def p1p1_basis(alpha: int, beta: int, fld: GF) -> tuple[list[Form], list[str]]:
-    """Bidegree (alpha, beta) monomials as degree alpha+beta forms in 4 variables."""
+    """Bidegree (alpha, beta) monomials as degree alpha+beta forms in 4 variables.
+
+    Raises BudgetExceeded, before any form is made, if their exponent vectors
+    hold over DEFAULT_BUDGET entries.
+    """
+    what = f"enumerating the bidegree ({alpha},{beta}) monomials in x0,x1,y0,y1"
+    check_budget((alpha + 1) * (beta + 1) * 4, what, unit="array entries")
     basis = []
     labels = []
     for i in range(alpha + 1):

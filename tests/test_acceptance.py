@@ -19,12 +19,13 @@ from varcodes.codes import (
     code_from_descriptor,
     ghw,
     min_distance,
-    weight_distribution,
 )
 from varcodes.errors import BudgetExceeded
 from varcodes.families import applicable_bounds, lower_bound_value, predict
 from varcodes.gf import GF
 from varcodes.varieties import VarietyDescriptor, hypersurface_points
+
+from moments import weight_distribution
 
 GHW_SWEEP_BUDGET = 50_000_000
 

@@ -4,12 +4,14 @@ import hashlib
 import json
 import tracemalloc
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from varcodes.cli import _dumps, main
 from varcodes.gf import GF
+from varcodes.projgeom import Form
 
 
 def run(capsys, *argv):
@@ -242,6 +244,15 @@ def test_oversized_construction_exits_3(capsys):
     assert err.startswith(f"budget exceeded: {what} in x0..x2 needs ~15000450003 array entries")
     specs = f'[{{"descriptor":{plane},"q":2,"h":100000}}]'
     rc, out, _ = run(capsys, "compare", specs, "--format", "json")
+    assert rc == 0 and what in json.loads(out)[0]["error"]
+    # 30001^2 bidegree monomials of P^1 x P^1: refused before any Form is made.
+    product = '{"family":"p1xp1","alpha":30000,"beta":30000}'
+    what = "enumerating the bidegree (30000,30000) monomials in x0,x1,y0,y1 needs ~3600240004"
+    with mock.patch.object(Form, "monomial", side_effect=AssertionError("a Form was made")):
+        rc, out, err = run(capsys, "build", product, "--q", "2")
+        assert (rc, out) == (3, "")
+        assert err.startswith(f"budget exceeded: {what} array entries, budget is ")
+        rc, out, _ = run(capsys, "compare", f'[{{"descriptor":{product},"q":2}}]', "--format", "json")
     assert rc == 0 and what in json.loads(out)[0]["error"]
 
 

@@ -4,10 +4,9 @@ import gc
 import random
 import threading
 import tracemalloc
-from collections import Counter
 from functools import reduce
 from itertools import combinations, product
-from math import comb
+from math import comb, isqrt, prod
 from unittest import mock
 
 import numpy as np
@@ -31,9 +30,12 @@ from varcodes.errors import (
     InvalidParams,
     UnexpectedDistance,
 )
+from varcodes.families import predict
 from varcodes.gf import GF
 from varcodes.linalg import Matrix, rank, rank_and_kernel, rref
 from varcodes.varieties import PointSet, VarietyDescriptor
+
+from moments import weight_distribution
 
 F2, F3, F4, F5, F7, F8, F9 = (
     GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2),
@@ -42,38 +44,6 @@ F2, F3, F4, F5, F7, F8, F9 = (
 
 def _code(family, params, h, fld):
     return code_from_descriptor(VarietyDescriptor(family, params), h, fld)
-
-
-def _assert_pless_moments(code, wd):
-    """The first two Pless power moments of wd, from the generator's columns alone.
-
-    Summed over all codewords, w counts the nonzero columns c with u.c != 0,
-    and w^2 the ordered pairs of them: (q-1)q^(k-1) words for one column or a
-    proportional pair, (q-1)^2 q^(k-2) for two independent columns
-    (MacWilliams-Sloane, ch. 5).
-    """
-    fld, q, k = code.field, code.field.q, code.k
-    points = Counter()  # nonzero columns, scaled to a leading 1
-    for col in code.generator.rows.T.tolist():
-        lead = next((x for x in col if x), 0)
-        if lead:
-            points[tuple(fld.mul(fld.inv(lead), x) for x in col)] += 1
-    nonzero = sum(points.values())
-    proportional = sum(comb(c, 2) for c in points.values())
-    one = (q - 1) * q ** (k - 1)
-    two = (q - 1) ** 2 * q ** (k - 2) if k >= 2 else 0  # k = 1: no independent pair
-    independent = comb(nonzero, 2) - proportional
-    assert sum(w * a for w, a in wd.counts.items()) == nonzero * one
-    assert sum(w * w * a for w, a in wd.counts.items()) == nonzero * one + 2 * (
-        proportional * one + independent * two
-    )
-
-
-def weight_distribution(code, *args, **kwargs):
-    """codes.weight_distribution, checked against the Pless power moments."""
-    wd = codes.weight_distribution(code, *args, **kwargs)
-    _assert_pless_moments(code, wd)
-    return wd
 
 
 def test_projective_rm_h1_gf2():
@@ -528,11 +498,11 @@ def test_weight_distribution_folds_each_block_as_it_is_made(make):
 
 
 def test_min_distance_holds_one_product_at_a_time():
-    # [31,10]_5 takes the cached lead one-hot (781 x 155 floats, 473 KiB), a
-    # tail one-hot (155 KiB), one 256 x 256 product (256 KiB) and the spans
-    # (122 KiB) at once.  A product kept while the next one is made adds
-    # 256 KiB.
-    code = _code("projective_space", {"m": 2}, 3, F5)
+    # [31,10]_5 in a generic basis, where no split folds, takes the cached
+    # lead one-hot (781 x 155 floats, 473 KiB), a tail one-hot (155 KiB), one
+    # 256 x 256 product (256 KiB) and the spans (122 KiB) at once.  A product
+    # kept while the next one is made adds 256 KiB.
+    code = _change_basis(_code("projective_space", {"m": 2}, 3, F5), seed=5)
     min_distance(code)
     tracemalloc.start()
     try:
@@ -762,6 +732,39 @@ def _random_full_rank_code(q, k, n, seed, zero_column):
             return LinearCode(F, Matrix(F, rows), [""] * n, [""] * k, {})
 
 
+def _repeated_parts_code(q, k, n, seed, lead_parts, tail_parts):
+    """A full-rank code whose columns repeat a few G' and G'' parts.
+
+    Column j is s_j (p, p'), with p drawn from lead_parts random vectors of
+    length ceil(k/2), p' from tail_parts random vectors for the other rows,
+    and s_j a random nonzero scalar; column 0 and about one column in 20
+    more are zero.
+    """
+    F = GF.from_order(q)
+    ops = F.array_ops()
+    rng = np.random.default_rng(seed)
+    a = -(-k // 2)
+    while True:
+        lead = rng.integers(0, q, (a, lead_parts))[:, rng.integers(0, lead_parts, n)]
+        tail = rng.integers(0, q, (k - a, tail_parts))[:, rng.integers(0, tail_parts, n)]
+        g = ops.mul(np.vstack([lead, tail]).astype(ops.dtype), rng.integers(1, q, n))
+        g[:, (rng.random(n) < 0.05) | (np.arange(n) == 0)] = 0
+        if rank(Matrix(F, g)) == k:
+            return LinearCode(F, Matrix(F, g), [""] * n, [""] * k, {})
+
+
+def _spy_folds(record):
+    """A stand-in for codes._fold that appends (m1, folded) of every split to record."""
+    fold = codes._fold
+
+    def spy(g, a, q, ops):
+        lead, tail, h = fold(g, a, q, ops)
+        record.append((lead.shape[1], h is not None))
+        return lead, tail, h
+
+    return spy
+
+
 @pytest.mark.parametrize(
     "q,k,n,block,zero_column,lead",
     [
@@ -778,20 +781,30 @@ def _random_full_rank_code(q, k, n, seed, zero_column):
         (7, 1, 8, 256, False, "whole"),
         (7, 3, 3, 512, False, "per block"),
         (7, 4, 4, 1024, False, "whole"),
+        # Folded splits, their parts cut into chunks of 8, 8, 3 and 9.
+        (2, 8, 60, 256, True, "folded"),
+        (3, 6, 80, 512, True, "folded"),
+        (5, 4, 60, 256, True, "folded"),
+        (7, 5, 60, 4096, True, "folded"),
     ],
 )
 def test_class_weights_build_each_operand_once(q, k, n, block, zero_column, lead):
     # With one column chunk, the lead's one-hot is built once when it fits
     # BLOCK // 4 floats and per lead block otherwise.  Either way the weights
     # match the bit engine and the naive histogram, and no one-hot operand
-    # exceeds BLOCK // 4 entries.
-    code = _random_full_rank_code(q, k, n, 1000 * q + 10 * k + n, zero_column)
+    # exceeds BLOCK // 4 entries, on plain and on folded splits.
+    seed = 1000 * q + 10 * k + n
+    if lead == "folded":
+        code = _repeated_parts_code(q, k, n, seed, lead_parts=3 * k, tail_parts=3 * k)
+    else:
+        code = _random_full_rank_code(q, k, n, seed, zero_column)
     hist = _naive_weight_histogram(code)
     bits = sum(codes._enumerate(code, 1, lambda w: np.bincount(w, minlength=n + 1)))
     assert {0: 1} | {w: (q - 1) * int(c) for w, c in enumerate(bits) if c} == hist
     assert int(min(codes._enumerate(code, 1, np.min))) == min(w for w in hist if w)
 
     shapes = []  # (complemented, rows, columns) of every one-hot
+    folds = []
 
     def spy(test, t, q):
         out = onehot(test, t, q)
@@ -800,9 +813,22 @@ def test_class_weights_build_each_operand_once(q, k, n, block, zero_column, lead
         return out
 
     onehot = codes._onehot
-    with mock.patch.object(codes, "BLOCK", block), mock.patch.object(codes, "_onehot", spy):
+    with (
+        mock.patch.object(codes, "BLOCK", block),
+        mock.patch.object(codes, "_onehot", spy),
+        mock.patch.object(codes, "_fold", _spy_folds(folds)),
+        mock.patch.object(codes, "_FOLD_FLOOR", 0 if lead == "folded" else codes._FOLD_FLOOR),
+    ):
         assert min_distance(code) == ghw(code, 1) == min(w for w in hist if w)
         assert weight_distribution(code).counts == hist
+    if lead == "folded":
+        m1, folded = folds[0]
+        assert folded and any(cols < n for _, _, cols in shapes)
+        a, side = -(-k // 2), isqrt(block // 16)
+        na, nb = min((q**a - 1) // (q - 1), side), min(q ** (k - a), side)
+        assert m1 > block // 4 // (max(na, nb) * q)  # the lead parts were cut
+        return
+    assert not any(folded for _, folded in folds)
     leads, tails = [], []  # classes with u1 != 0 and u2 choices, split by split
     rows = k
     while rows:
@@ -817,3 +843,95 @@ def test_class_weights_build_each_operand_once(q, k, n, block, zero_column, lead
     if lead == "whole":
         assert lead_rows == scans * sum(leads)
     assert ((True, leads[0], n) in shapes) == (lead == "whole")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("seed", range(4))
+def test_folded_class_weights_match_bit_engine(q, seed):
+    # Random codes with repeated G' and G'' parts, scaled columns and zero
+    # columns, folded on every split where that takes fewer flops (the floor
+    # patched to 0), at the default BLOCK and at one that cuts the parts.
+    rng = random.Random(10 * q + seed)
+    k = rng.randint(2, 7 if q <= 3 else 5)
+    n = rng.randint(60, 300)
+    a = -(-k // 2)
+    parts = rng.choice([a, a + 2, 40])
+    code = _repeated_parts_code(q, k, n, 10 * q + seed, parts, rng.randint(k - a, 40))
+    bits = sum(codes._enumerate(code, 1, lambda w: np.bincount(w, minlength=n + 1)))
+    hist = {0: 1} | {w: (q - 1) * int(c) for w, c in enumerate(bits) if c}
+    for block in (codes.BLOCK, 4096):
+        folds = []
+        with (
+            mock.patch.object(codes, "BLOCK", block),
+            mock.patch.object(codes, "_fold", _spy_folds(folds)),
+            mock.patch.object(codes, "_FOLD_FLOOR", 0),
+        ):
+            assert weight_distribution(code).counts == hist
+            assert min_distance(code) == min(w for w in hist if w)
+        assert folds[0][1]  # the top split folds
+
+
+def _change_basis(code, seed):
+    """T G with the columns permuted, for a random invertible T: the same code."""
+    F, k = code.field, code.k
+    ops = F.array_ops()
+    rng = np.random.default_rng(seed)
+    while True:
+        t = rng.integers(0, F.q, (k, k)).astype(ops.dtype)
+        if rank(Matrix(F, t)) == k:
+            break
+    g = code.generator.rows[:, rng.permutation(code.n)]
+    rows = np.stack([reduce(ops.add, ops.mul(t[i][:, None], g)) for i in range(k)])
+    return LinearCode(F, Matrix(F, rows), [""] * code.n, [""] * k, {})
+
+
+@pytest.mark.parametrize(
+    "family,params,h,q,m1",
+    [
+        ("grassmann", {"l": 2, "m": 5}, 1, 3, 122),  # the 121 points of P^4(F_3), and 0
+        ("projective_space", {"m": 3}, 2, 4, None),
+        ("projective_space", {"m": 2}, 3, 5, None),
+    ],
+)
+def test_only_grassmann_codeword_codes_fold(family, params, h, q, m1):
+    # The benchmark's codes, in a random basis as its artifacts are: the top
+    # split of [1210,10]_3 folds its 1210 columns onto 122 lead parts; no
+    # split of the PRM codes [85,10]_4 and [31,10]_5 folds, since their
+    # columns have distinct G' parts (in RREF, [31,10]_5 does fold).
+    code = _change_basis(_code(family, params, h, GF.from_order(q)), seed=q)
+    folds = []
+    with mock.patch.object(codes, "_fold", _spy_folds(folds)):
+        d = min_distance(code)
+    assert d == predict(VarietyDescriptor(family, params), h, q).d
+    if m1 is None:
+        assert not any(folded for _, folded in folds)
+    else:
+        assert folds[0] == (m1, True)
+
+
+def _nogin_spectrum(m, q):
+    """The weight enumerator of the Grassmann code C(2, m) over GF(q) (Nogin 1996).
+
+    A codeword is an alternating form of rank 2u, of weight
+    sum_(i<u) q^(2m-4-2i); there are
+    q^(u(u-1)) prod_(i<2u) (q^(m-i) - 1) / prod_(i=1..u) (q^(2i) - 1) of them.
+    """
+    counts = {0: 1}
+    for u in range(1, m // 2 + 1):
+        weight = sum(q ** (2 * m - 4 - 2 * i) for i in range(u))
+        number = q ** (u * (u - 1)) * prod(q ** (m - i) - 1 for i in range(2 * u))
+        counts[weight] = number // prod(q ** (2 * i) - 1 for i in range(1, u + 1))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "m,q", [(5, 2), (5, 3), (5, 4), (4, 5), (4, 7), (6, 2)], ids=lambda v: str(v)
+)
+def test_grassmann_weight_distribution_is_nogin_spectrum(m, q):
+    # [155,10]_2, [1210,10]_3, [5797,10]_4, [806,6]_5, [2850,6]_7 and [651,15]_2.
+    # The top splits of four fold; those of [155,10]_2 and [806,6]_5 stay
+    # under the floor unless it is patched to 0.
+    code = _code("grassmann", {"l": 2, "m": m}, 1, GF.from_order(q))
+    for floor in (codes._FOLD_FLOOR, 0):
+        with mock.patch.object(codes, "_FOLD_FLOOR", floor):
+            assert weight_distribution(code).counts == _nogin_spectrum(m, q)

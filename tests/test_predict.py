@@ -2,7 +2,7 @@
 
 import pytest
 
-from varcodes.codes import code_from_descriptor, min_distance, weight_distribution
+from varcodes.codes import code_from_descriptor, min_distance
 from varcodes.errors import NotQuadraticExtension, OutOfTheoremRange, ParityMismatch
 from varcodes.families import (
     DICHOTOMY,
@@ -14,6 +14,8 @@ from varcodes.families import (
 )
 from varcodes.gf import GF
 from varcodes.varieties import VarietyDescriptor
+
+from moments import weight_distribution
 
 
 def D(family, **params):
