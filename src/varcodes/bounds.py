@@ -10,7 +10,7 @@ statements are never weaker or stronger than the real ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Any
 
 from .errors import (
@@ -32,13 +32,7 @@ class BoundReport:
     notes: list[str] = dc_field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": self.inputs,
-            "value": self.value,
-            "anchor": self.anchor,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def sigma(m: int, q: int) -> int:

@@ -2,7 +2,7 @@
 
 A record gives a family's parameter schema (names, kinds, construction
 ranges), whether the degree h is free, the point/basis builder, the
-closed-form predictor and the applicable minimum-distance bounds.
+closed-form predictor and its candidate minimum-distance bounds.
 `check_descriptor` is the single validation boundary: every entry point
 calls it, so builders, predictors and bound selectors trust their
 parameters.  Predictors refuse requests outside a theorem's range with
@@ -17,7 +17,10 @@ configurations with an Eckardt point lose 1).
 from __future__ import annotations
 
 import inspect
+import math
+from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Any, Callable
 
 from . import bounds
@@ -25,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     EmptyPolytope,
     FieldTooSmall,
+    InputError,
     InternalError,
     InvalidAlpha,
     InvalidParams,
@@ -38,6 +42,7 @@ from .projgeom import Form, enumerate_projective_points
 from .varieties import (
     PointSet,
     VarietyDescriptor,
+    classify_quadric,
     complete_intersection_points,
     delpezzo_points,
     flag_points,
@@ -74,14 +79,7 @@ class Prediction:
     extras: dict[str, Any] = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "k": self.k,
-            "k_status": self.k_status,
-            "d": self.d,
-            "d_status": self.d_status,
-            "anchor": self.anchor,
-        }
+        out = {key: getattr(self, key) for key in ("n", "k", "k_status", "d", "d_status", "anchor")}
         if self.d_options is not None:
             out["d_options"] = list(self.d_options)
         if self.weights is not None:
@@ -99,6 +97,8 @@ class Family:
     names in optional may be absent.  check(params, q) raises on ranges
     that involve several parameters or q.  A family with a basis or a
     blow-up fixes its own basis, so its codes take h = 1 only.
+    bounds(params, h, q, n) lists candidate calls; each calculator checks
+    its own hypotheses.
     """
 
     params: dict[str, str | tuple]
@@ -109,7 +109,7 @@ class Family:
     # already the values of its anticanonical basis.
     blow_up: Callable[[Params], int] | None = None
     predict: Callable[[Params, int, int], Prediction] | None = None
-    bounds: Callable[[Params, int, int, int], list[bounds.BoundReport]] | None = None
+    bounds: Callable[[Params, int, int, int], list[Callable[[], bounds.BoundReport]]] | None = None
     optional: frozenset[str] = frozenset()
 
     @property
@@ -207,6 +207,8 @@ def _check_quadric(p: Params, q: int) -> None:
         raise NotQuadratic("quadric descriptor form must have degree 2")
     if ("m" in p) != ("w" in p) or not ("m" in p or "form" in p):
         raise InvalidParams("a quadric descriptor needs both m and w, or a form")
+    if "form" in p and "m" in p and p["m"] != p["form"]["ambient"]:
+        raise InvalidParams(f"m = {p['m']} is not the form's ambient {p['form']['ambient']}")
     if "w" in p and (p["w"] == 1) != (p["m"] % 2 == 0):
         raise ParityMismatch("parabolic quadrics need even m, the others odd m")
 
@@ -278,9 +280,17 @@ def _predict_projective(p: Params, h: int, q: int) -> Prediction:
     )
 
 
+def _quadric_character(p: Params, q: int) -> tuple[int, int]:
+    """m and w of a quadric descriptor, which a form must agree with."""
+    m, w = p["m"], p["w"]
+    if "form" in p and classify_quadric(Form.from_dict(GF.from_order(q), p["form"])) != (m + 1, w):
+        raise InvalidParams(f"the form is not a nondegenerate quadric with m = {m}, w = {w}")
+    return m, w
+
+
 def _predict_quadric(p: Params, h: int, q: int) -> Prediction:
     _require("w" in p, "a character w (classify explicit forms first)")
-    m, w = p["m"], p["w"]
+    m, w = _quadric_character(p, q)
     n = bounds.quadric_count(m, w, q)
     if h == 1:
         if w == 2:
@@ -357,34 +367,26 @@ def _predict_p1xp1(p: Params, h: int, q: int) -> Prediction:
     )
 
 
-def _quadric_bounds(p: Params, h: int, q: int, n: int) -> list[bounds.BoundReport]:
+def _section_bounds(m: int, s: int, q: int, n: int) -> list:
+    """Projection and hyperplane-section candidates for a degree-s hypersurface in P^m."""
+    return [
+        partial(bounds.elementary_bound, n, s, m - 1, q),
+        partial(bounds.lachaud_section_bounds, q, m, s, n),
+    ]
+
+
+def _quadric_bounds(p: Params, h: int, q: int, n: int) -> list:
     if h != 1 or "m" not in p:
         return []
-    m = p["m"]
-    out = [bounds.elementary_bound(n, 2, m - 1, q)]
-    if m >= 3:
-        out.append(bounds.lachaud_section_bounds(q, m, 2, n))
-    return out
+    return _section_bounds(_quadric_character(p, q)[0], 2, q, n)
 
 
-def _hermitian_bounds(p: Params, h: int, q: int, n: int) -> list[bounds.BoundReport]:
+def _hermitian_bounds(p: Params, h: int, q: int, n: int) -> list:
     m, r = p["m"], p["r"]
-    out = []
-    if h == 1 and r + 1 < q + 1:
-        out.append(bounds.elementary_bound(n, r + 1, m - 1, q))
-    if h == 1 and m >= 3:
-        out.append(bounds.lachaud_section_bounds(q, m, r + 1, n))
+    out = _section_bounds(m, r + 1, q, n) if h == 1 else []
     if m == 3:
-        out.append(bounds.sorensen_bound(n, h, r))
-        if h < r + 1:
-            out.append(bounds.hermitian_ch_bound(n, h, r))
+        out += [partial(fn, n, h, r) for fn in (bounds.sorensen_bound, bounds.hermitian_ch_bound)]
     return out
-
-
-def _complete_intersection_bounds(p: Params, h: int, q: int, n: int) -> list:
-    degrees = [f["degree"] for f in p["forms"]]
-    s = sum(degrees) - len(degrees) - 1
-    return [bounds.cayley_bacharach_bound(degrees, h)] if 1 <= h <= s else []
 
 
 # -- the table --------------------------------------------------------------------
@@ -394,7 +396,7 @@ FAMILIES: dict[str, Family] = {
         {"m": ints(1), "affine": "bool"}, optional=frozenset({"affine"}),
         points=_projective_points, predict=_predict_projective,
         bounds=lambda p, h, q, n: (
-            [bounds.elementary_bound(n, 1, p["m"], q)]
+            [partial(bounds.elementary_bound, n, 1, p["m"], q)]
             if h == 1 and not p.get("affine", False) else []
         ),
     ),
@@ -414,7 +416,8 @@ FAMILIES: dict[str, Family] = {
         predict=_predict_grassmann,
         # G(2,4) is a quadric hypersurface in its ambient P^5.
         bounds=lambda p, h, q, n: (
-            [bounds.elementary_bound(n, 2, 4, q)] if h == 1 and (p["l"], p["m"]) == (2, 4) else []
+            [partial(bounds.elementary_bound, n, 2, 4, q)]
+            if h == 1 and (p["l"], p["m"]) == (2, 4) else []
         ),
     ),
     "schubert": Family(
@@ -440,17 +443,20 @@ FAMILIES: dict[str, Family] = {
         points=lambda p, fld: complete_intersection_points(
             [Form.from_dict(fld, f) for f in p["forms"]]
         ),
-        bounds=_complete_intersection_bounds,
+        # Cayley-Bacharach needs the n points to be the whole reduced intersection.
+        bounds=lambda p, h, q, n: (
+            [partial(bounds.cayley_bacharach_bound, [f["degree"] for f in p["forms"]], h)]
+            if n == math.prod(f["degree"] for f in p["forms"]) else []
+        ),
     ),
     "p1xp1": Family(
         {"alpha": ints(0), "beta": ints(0)},
         points=lambda p, fld: product_p1p1_points(fld),
         basis=lambda p, fld: p1p1_basis(p["alpha"], p["beta"], fld),
         predict=_predict_p1xp1,
-        bounds=lambda p, h, q, n: (
-            [bounds.covering_family_bound(n, q + 1, q + 1, p["beta"], p["alpha"])]
-            if p["alpha"] <= q + 1 and p["beta"] <= q + 1 else []
-        ),
+        bounds=lambda p, h, q, n: [
+            partial(bounds.covering_family_bound, n, q + 1, q + 1, p["beta"], p["alpha"])
+        ],
     ),
 }
 
@@ -500,11 +506,17 @@ def applicable_bounds(
 ) -> list[bounds.BoundReport]:
     """Every lower-bound calculator that applies to this code, evaluated.
 
-    n must be the actual block length (for these families, the full set of
-    rational points, which the section-count bounds assume).
+    A family's candidate applies unless its calculator refuses the inputs
+    with an InputError.  n must be the actual block length (for these
+    families, the full set of rational points, which the section-count
+    bounds assume).
     """
     fam = check_descriptor(desc, h, q)
-    return fam.bounds(desc.params, h, q, n) if fam.bounds else []
+    reports = []
+    for call in fam.bounds(desc.params, h, q, n) if fam.bounds else []:
+        with suppress(InputError):
+            reports.append(call())
+    return reports
 
 
 def lower_bound_value(report: bounds.BoundReport) -> int:

@@ -238,11 +238,7 @@ class GF:
         return a if self.p == 2 else self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self._sum is None:
-            return self._digitwise(a, b, -1)
-        return self._sum[a][self._neg[b]]
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

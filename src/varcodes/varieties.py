@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cache, reduce
 from itertools import combinations, compress
-from math import comb
+from math import comb, prod
 from operator import or_
 from typing import Any
 
@@ -214,12 +214,17 @@ def classify_quadric(f: Form) -> tuple[int, int]:
     return rho, matches[0]
 
 
+def _zero_locus(forms: list[Form]) -> PointSet:
+    """All canonical common zeros of forms in P^m, in enumeration order."""
+    fld, m = forms[0].field, forms[0].ambient
+    pts = enumerate_projective_points(m, fld)
+    pts = pts[~evaluate_forms(forms, pts).any(axis=0)]
+    return PointSet(fld, m, pts, point_labels(pts, fld))
+
+
 def hypersurface_points(f: Form) -> PointSet:
     """All canonical points of V(f) in enumeration order."""
-    fld = f.field
-    pts = enumerate_projective_points(f.ambient, fld)
-    pts = pts[evaluate_forms([f], pts)[0] == 0]
-    return PointSet(fld, f.ambient, pts, point_labels(pts, fld))
+    return _zero_locus([f])
 
 
 def hermitian_form(m: int, r: int, fld: GF) -> Form:
@@ -441,20 +446,15 @@ def toric_basis(lattice_points: list[tuple[int, ...]], fld: GF) -> tuple[list[Fo
 
 def complete_intersection_points(forms: list[Form]) -> PointSet:
     """Common zero locus of m hypersurfaces in P^m, with a degree-product check."""
-    fld = forms[0].field
-    m = forms[0].ambient
-    pts = enumerate_projective_points(m, fld)
-    pts = pts[~evaluate_forms(forms, pts).any(axis=0)]
-    expected = 1
-    for f in forms:
-        expected *= f.degree
-    if len(pts) != expected:
+    points = _zero_locus(forms)
+    expected = prod(f.degree for f in forms)
+    if len(points) != expected:
         warnings.warn(
-            f"zero locus has {len(pts)} points, degree product is {expected}: "
+            f"zero locus has {len(points)} points, degree product is {expected}: "
             "not a reduced complete intersection, Cayley-Bacharach bounds do not apply",
             stacklevel=2,
         )
-    return PointSet(fld, m, pts, point_labels(pts, fld))
+    return points
 
 
 def product_p1p1_points(fld: GF) -> PointSet:

@@ -221,3 +221,5 @@ def test_reports_are_json_friendly():
     rep = bounds.lachaud_section_bounds(4, 3, 3, 45)
     text = json.dumps(rep.to_dict())
     assert "lachaud_section_bounds" in text
+    fields = ["name", "inputs", "value", "anchor", "notes"]
+    assert list(rep.to_dict().items()) == [(f, getattr(rep, f)) for f in fields]

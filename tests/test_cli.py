@@ -142,6 +142,19 @@ def test_compare_row_failure_is_recorded_not_fatal(capsys):
     assert rows[1]["d"] == 4
 
 
+def test_quadric_m_and_w_that_disagree_with_the_form_exit_2(capsys):
+    form = {"ambient": 3, "degree": 2, "terms": [[[1, 1, 0, 0], 1], [[0, 0, 1, 1], 1]]}
+    descs = [{"family": "quadric", "m": m, "w": 0, "form": form} for m in (5, 3)]
+    for desc in descs:
+        rc, out, err = run(capsys, "predict", json.dumps(desc), "--q", "3")
+        assert (rc, out) == (2, "") and "input error" in err
+    specs = json.dumps([{"descriptor": desc, "q": 3} for desc in descs])
+    rc, out, _ = run(capsys, "compare", specs, "--format", "json")
+    assert rc == 0
+    rows = json.loads(out)
+    assert "ambient" in rows[0]["error"] and "w = 0" in rows[1]["error"]
+
+
 def test_compare_table_and_csv_formats(capsys):
     good = {"descriptor": {"family": "projective_space", "m": 2}, "q": 2}
     bad = {"descriptor": {"family": "del_pezzo", "l": 6}, "q": 2}  # q > 4 needed

@@ -33,7 +33,7 @@ CONICS = [
 # One valid descriptor per family, with a field it builds over.
 VALID = [
     ({"family": "projective_space", "m": 2, "affine": False}, 3),
-    ({"family": "quadric", "m": 3, "w": 2, "form": CONICS[0]}, 2),
+    ({"family": "quadric", "m": 2, "w": 1, "form": CONICS[0]}, 5),
     ({"family": "hermitian", "m": 2, "r": 2}, 4),
     ({"family": "grassmann", "l": 2, "m": 4}, 2),
     ({"family": "schubert", "l": 2, "m": 4, "alpha": [2, 4]}, 2),
@@ -55,6 +55,14 @@ def run(*argv) -> None:
 
 def test_fuzz_covers_every_family():
     assert sorted(d["family"] for d, _ in VALID) == sorted(FAMILIES)
+
+
+def test_every_seed_builds():
+    for desc, q in VALID:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main(["build", json.dumps(desc), "--q", str(q)])
+        assert rc == 0, (desc, q, err.getvalue())
 
 
 @st.composite

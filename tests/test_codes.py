@@ -35,7 +35,7 @@ from varcodes.gf import GF
 from varcodes.linalg import Matrix, rank, rank_and_kernel, rref
 from varcodes.varieties import PointSet, VarietyDescriptor
 
-from moments import weight_distribution
+from moments import assert_pless_moments, weight_distribution
 
 F2, F3, F4, F5, F7, F8, F9 = (
     GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2),
@@ -51,6 +51,16 @@ def test_projective_rm_h1_gf2():
     assert (code.n, code.k) == (7, 3)
     assert code.kernel_dim == 0
     assert min_distance(code) == 4
+
+
+def test_pless_moments_catch_a_corrupted_distribution():
+    code = _code("projective_space", {"m": 2}, 1, F2)
+    wd = codes.weight_distribution(code)
+    assert_pless_moments(code, wd)
+    wd.counts[4] -= 1  # one word of weight 4 moved to weight 3: q^k words still
+    wd.counts[3] = 1
+    with pytest.raises(AssertionError, match="Pless moments"):
+        assert_pless_moments(code, wd)
 
 
 def test_flag_code_not_injective():

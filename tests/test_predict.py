@@ -2,13 +2,22 @@
 
 import pytest
 
+from varcodes import bounds
 from varcodes.codes import code_from_descriptor, min_distance
-from varcodes.errors import NotQuadraticExtension, OutOfTheoremRange, ParityMismatch
+from varcodes.errors import (
+    InternalError,
+    InvalidParams,
+    NotQuadraticExtension,
+    OutOfTheoremRange,
+    ParityMismatch,
+)
 from varcodes.families import (
     DICHOTOMY,
     EXACT,
+    FAMILIES,
     LOWER_BOUND,
     applicable_bounds,
+    build_point_set,
     lower_bound_value,
     predict,
 )
@@ -34,6 +43,29 @@ def test_quadric_predictions():
     assert (p.n, p.k, p.d) == (81, 4, 64)
     p = predict(D("quadric", m=2, w=1), 1, 4)
     assert (p.n, p.k, p.d) == (5, 3, 3)  # conic: q+1 points, d = q - 1
+
+
+HYPERBOLIC = {"ambient": 3, "degree": 2, "terms": [[[1, 1, 0, 0], 1], [[0, 0, 1, 1], 1]]}
+PARABOLIC = {"ambient": 4, "degree": 2, "terms": [[[2, 0, 0, 0, 0], 1], [[0, 1, 1, 0, 0], 1],
+                                                 [[0, 0, 0, 1, 1], 1]]}
+
+
+def test_quadric_m_and_w_must_agree_with_the_form():
+    # x0x1 + x2x3 over GF(3) is the hyperbolic quadric of P^3: the [16,4,9] code.
+    with pytest.raises(InvalidParams, match="ambient"):
+        predict(D("quadric", m=5, w=0, form=HYPERBOLIC), 1, 3)
+    wrong = D("quadric", m=3, w=0, form=HYPERBOLIC)
+    with pytest.raises(InvalidParams, match="w = 0"):
+        predict(wrong, 1, 3)
+    with pytest.raises(InvalidParams, match="w = 0"):
+        applicable_bounds(wrong, 1, 3, 16)
+    code = code_from_descriptor(wrong, 1, GF.from_order(3))  # built from the form alone
+    assert (code.n, code.k, min_distance(code)) == (16, 4, 9)
+    p = predict(D("quadric", m=3, w=2, form=HYPERBOLIC), 1, 3)
+    assert (p.n, p.k, p.d) == (16, 4, 9)
+    p = predict(D("quadric", m=4, w=1, form=PARABOLIC), 1, 8)
+    assert p == predict(D("quadric", m=4, w=1), 1, 8)
+    assert (p.n, p.k, p.d) == (585, 5, 504)
 
 
 def test_quadric_h2_dimension_upper_bound():
@@ -175,6 +207,61 @@ def test_applicable_bounds_hermitian_surface():
     assert lower_bound_value(reps["lachaud_section_bounds"]) == 24
     assert lower_bound_value(reps["sorensen_bound"]) == 32
     assert lower_bound_value(reps["hermitian_ch_bound"]) == 30
+
+
+FERMAT = {"ambient": 2, "degree": 3, "terms": [[[3, 0, 0], 1], [[0, 3, 0], 1], [[0, 0, 3], 1]]}
+LINE = {"ambient": 2, "degree": 1, "terms": [[[1, 0, 0], 1]]}
+
+# (family, params, h, q): together they offer, and keep, every bound candidate.
+BOUND_CASES = [
+    ("projective_space", {"m": 2}, 1, 3),
+    ("quadric", {"m": 3, "w": 0}, 1, 3),
+    ("hermitian", {"m": 3, "r": 2}, 1, 4),
+    ("grassmann", {"l": 2, "m": 4}, 1, 2),
+    ("complete_intersection", {"forms": [LINE, FERMAT]}, 1, 7),
+    ("p1xp1", {"alpha": 1, "beta": 2}, 1, 3),
+]
+
+
+def test_every_bound_candidate_is_kept_somewhere():
+    """A candidate that its calculator refuses on every case is dead."""
+    offered, kept = set(), set()
+    for family, params, h, q in BOUND_CASES:
+        desc = D(family, **params)
+        n = len(build_point_set(desc, GF.from_order(q)))
+        offered |= {(family, c.func.__name__) for c in FAMILIES[family].bounds(params, h, q, n)}
+        kept |= {(family, r.name) for r in applicable_bounds(desc, h, q, n)}
+    assert kept == offered
+    assert {f for f, _ in offered} == {name for name, fam in FAMILIES.items() if fam.bounds}
+
+
+def test_bounds_outside_their_hypotheses_are_left_out():
+    # Dimension-0 sections (m = 1) have no projection or section bound.
+    assert applicable_bounds(D("quadric", m=1, w=2), 1, 5, 2) == []
+    assert applicable_bounds(D("hermitian", m=1, r=2), 1, 4, 3) == []
+    names = [r.name for r in applicable_bounds(D("quadric", m=2, w=1), 1, 5, 6)]
+    assert names == ["elementary_bound"]  # Lachaud's sections need m >= 3
+    names = [r.name for r in applicable_bounds(D("hermitian", m=3, r=2), 3, 4, 45)]
+    assert names == ["sorensen_bound"]  # the degree-h section bound needs h < r + 1
+    assert applicable_bounds(D("p1xp1", alpha=5, beta=1), 1, 3, 16) == []
+
+
+def test_cayley_bacharach_needs_the_whole_intersection():
+    # x0 = x1^3 + x2^3 = 0 has its 3 = 1 * 3 points over GF(7), but only 1
+    # over GF(5), where the bound s - h + 2 = 2 would exceed d = 1.
+    desc = D("complete_intersection", forms=[LINE, FERMAT])
+    reps = applicable_bounds(desc, 1, 7, 3)
+    assert [(r.name, lower_bound_value(r)) for r in reps] == [("cayley_bacharach_bound", 2)]
+    assert applicable_bounds(desc, 1, 5, 1) == []
+
+
+def test_applicable_bounds_passes_internal_errors_on(monkeypatch):
+    def broken(*args):
+        raise InternalError("broken calculator")
+
+    monkeypatch.setattr(bounds, "elementary_bound", broken)
+    with pytest.raises(InternalError, match="broken calculator"):
+        applicable_bounds(D("projective_space", m=2), 1, 3, 13)
 
 
 def test_applicable_bounds_product_is_tight():
