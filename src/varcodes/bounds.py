@@ -196,21 +196,32 @@ def griesmer(n: int, k: int, q: int, mode: str = "max_d") -> BoundReport:
     """Griesmer bound: n >= sum_{i<k} ceil(d/q^i).
 
     mode="max_d": largest d consistent with (n, k); mode="min_n": the sum
-    for given d (pass d via n).
+    for given d (pass d via n).  Neither steps through every d or every
+    term: max_d bisects, and once q^i > |d| every further term ceil(d/q^i)
+    is 1 (d > 0) or 0.
     """
     if k < 1:
         raise InvalidParams("need k >= 1")
 
     def length_for(d: int) -> int:
-        return sum(-(-d // q**i) for i in range(k))
+        total, power = 0, 1
+        for i in range(k):
+            if power > abs(d):
+                return total + (k - i) * (d > 0)
+            total -= -d // power
+            power *= q
+        return total
 
     if mode == "min_n":
         value = length_for(n)  # here n plays the role of d
     elif mode == "max_d":
-        d = n
-        while d > 0 and length_for(d) > n:
-            d -= 1
-        value = d
+        # The largest d in 0..n with length_for(d) <= n (n itself if n <= 0),
+        # by bisection: length_for is non-decreasing and length_for(d) >= d.
+        lo, hi = min(n, 0), n + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if length_for(mid) <= n else (lo, mid)
+        value = lo
     else:
         raise InvalidParams(f"unknown mode {mode!r}")
     return BoundReport(

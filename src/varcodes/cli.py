@@ -109,9 +109,19 @@ def _dumps(obj, pad: str = "\n", text: Sequence[str] = ()) -> str:
 
 
 def _emit(payload, out_path: str | None, fld: GF | None = None):
-    """Write payload as indented JSON; fld's element text writes its int lists."""
+    """Write payload as indented JSON; fld's element text writes its int lists.
+
+    An int past Python's int-string digit limit is refused before anything
+    is written."""
     text = fld.array_ops().text.tolist() if fld is not None else ()
-    _write_text(_dumps(payload, text=text) + "\n", out_path)
+    try:
+        out = _dumps(payload, text=text)
+    except ValueError as exc:  # the only one _dumps raises: str of an int past the limit
+        raise InputError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing an int"
+        ) from exc
+    _write_text(out + "\n", out_path)
 
 
 def cmd_field(args) -> int:

@@ -48,7 +48,7 @@ from .errors import (
 from .families import build_point_set, check_descriptor, predict, require_fields
 from .gf import GF
 from .linalg import Matrix, pivot_patterns, rref
-from .projgeom import Form, enumerate_monomials, evaluate_forms, monomial_name
+from .projgeom import Form, enumerate_monomials, evaluate_forms
 from .varieties import PointSet, VarietyDescriptor, delpezzo_points
 
 ARTIFACT_FORMAT_VERSION = 1
@@ -169,9 +169,9 @@ def build_evaluation_code(
     """Code of the evaluation map basis -> (f(P1), ..., f(Pn)).
 
     Either an explicit basis of forms or a degree h (whole monomial basis)
-    must be given.  The generator is the row basis of the RREF of the raw
-    evaluation matrix; the kernel dimension (forms vanishing on all of S)
-    is recorded.
+    must be given.  The basis labels are the forms' own text unless given.
+    The generator is the row basis of the RREF of the raw evaluation matrix;
+    the kernel dimension (forms vanishing on all of S) is recorded.
     """
     if len(points) == 0:
         raise EmptyPointSet("no evaluation points")
@@ -179,9 +179,7 @@ def build_evaluation_code(
     if basis is None:
         if h is None:
             raise InvalidParams("need a basis or a degree h")
-        monos = enumerate_monomials(points.ambient, h)
-        basis = [Form.monomial(fld, e) for e in monos]
-        basis_labels = [monomial_name(e) for e in monos]
+        basis = [Form.monomial(fld, e) for e in enumerate_monomials(points.ambient, h)]
     if basis_labels is None:
         basis_labels = [str(f) for f in basis]
     reduced, pivots = rref(Matrix(fld, evaluate_forms(basis, points.points)))
@@ -209,9 +207,8 @@ def code_from_descriptor(
         # The columns already hold the values of the cubics through the base
         # points, so the code evaluates the coordinate functions.
         points, cubics, _ = delpezzo_points(fam.blow_up(desc.params), fld)
-        coords = [Form.monomial(fld, e) for e in enumerate_monomials(points.ambient, 1)]
         labels = [str(f) for f in cubics]
-        return build_evaluation_code(points, coords, basis_labels=labels, provenance=prov)
+        return build_evaluation_code(points, h=1, basis_labels=labels, provenance=prov)
     points = build_point_set(desc, fld)
     basis, labels = fam.basis(desc.params, fld) if fam.basis else (None, None)
     return build_evaluation_code(points, basis, h, labels, prov)
@@ -425,10 +422,13 @@ def _class_weights(code: LinearCode, fold) -> Iterator:
 
 # Scalar classes over GF(q), q <= PRODUCT_MAX_Q, are weighed by _class_weights.
 # A product costs 2q flops per class and position where the bit engine
-# compares one byte, so the products stop paying at GF(8), whose XOR addition
-# keeps the bit engine cheap (products 1.2-1.6x slower on random [73,5]_8,
-# [300,6]_8 and [585,5]_8 codes, the last the shape of the quadric that the
-# CLI benchmark analyzes).  float32 counts are exact below 2^24.
+# compares one byte, and GF(8)'s XOR addition keeps the bit engine cheap, but
+# the crossover is not at GF(8) for every shape.  Medians of 100-200
+# alternating min_distance calls on one thread of a 2-core Xeon: the products
+# take 1.4x the bit engine's time on a random [300,6]_8 code, but 0.6x on a
+# random [73,5]_8, 0.9x on a random [585,5]_8, 0.84x on the quadric [585,5]_8
+# that build makes (the one the CLI benchmark analyzes) and 0.87x on the
+# Hermitian [280,4]_9.  float32 counts are exact below 2^24.
 PRODUCT_MAX_Q = 7
 
 

@@ -205,6 +205,8 @@ def check_arguments(fn: Callable, params: dict) -> None:
 def _check_quadric(p: Params, q: int) -> None:
     if "form" in p and p["form"]["degree"] != 2:
         raise NotQuadratic("quadric descriptor form must have degree 2")
+    if "form" in p and not any({tuple(e): c for e, c in p["form"]["terms"]}.values()):
+        raise NotQuadratic("quadric descriptor form has no nonzero term")
     if ("m" in p) != ("w" in p) or not ("m" in p or "form" in p):
         raise InvalidParams("a quadric descriptor needs both m and w, or a form")
     if "form" in p and "m" in p and p["m"] != p["form"]["ambient"]:

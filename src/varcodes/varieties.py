@@ -123,6 +123,11 @@ def irreducible_binary_quadratic_coeff(fld: GF) -> int:
     raise InternalError("no irreducible quadratic x^2 + x + c exists")
 
 
+def _pair_exponent(n: int, i: int, j: int) -> tuple[int, ...]:
+    """The exponent vector of x_i * x_j in n variables (of x_i^2 when i == j)."""
+    return tuple((k == i) + (k == j) for k in range(n))
+
+
 def quadric_normal_form(m: int, w: int, fld: GF) -> Form:
     """Canonical nondegenerate quadric of character w in P^m.
 
@@ -130,29 +135,20 @@ def quadric_normal_form(m: int, w: int, fld: GF) -> Form:
     w = 2 (hyperbolic, m odd):  x0*x1 + x2*x3 + ...
     w = 0 (elliptic, m odd):    x0^2 + x0*x1 + c*x1^2 + x2*x3 + ...
     """
-
-    def e2(i: int, j: int) -> tuple[int, ...]:
-        return tuple(
-            (2 if k == i else 0) if i == j else (1 if k in (i, j) else 0)
-            for k in range(m + 1)
-        )
-
-    terms: dict[tuple[int, ...], int] = {}
+    pairs: dict[tuple[int, int], int] = {}  # (i, j) -> coefficient of x_i * x_j
     if w == 1:
-        terms[e2(0, 0)] = 1
+        pairs[0, 0] = 1
         start = 1
     elif w == 2:
-        terms[e2(0, 1)] = 1
+        pairs[0, 1] = 1
         start = 2
     else:
         c = irreducible_binary_quadratic_coeff(fld)
-        terms[e2(0, 0)] = 1
-        terms[e2(0, 1)] = 1
-        terms[e2(1, 1)] = c
+        pairs.update({(0, 0): 1, (0, 1): 1, (1, 1): c})
         start = 2
     for i in range(start, m, 2):
-        terms[e2(i, i + 1)] = 1
-    return Form(fld, m, 2, terms)
+        pairs[i, i + 1] = 1
+    return Form(fld, m, 2, {_pair_exponent(m + 1, i, j): c for (i, j), c in pairs.items()})
 
 
 def _quadric_rank(f: Form) -> int:
@@ -160,23 +156,12 @@ def _quadric_rank(f: Form) -> int:
     fld = f.field
     n = f.ambient + 1
 
-    def coeff2(i: int, j: int) -> int:
-        if i == j:
-            expo = tuple(2 if k == i else 0 for k in range(n))
-        else:
-            expo = tuple(1 if k in (i, j) else 0 for k in range(n))
-        return f.coefficient(expo)
+    def polar(i: int, j: int) -> int:
+        """Entry (i, j) of the polar form b(x, y) = f(x + y) - f(x) - f(y)."""
+        c = f.coefficient(_pair_exponent(n, i, j))
+        return c if i != j else fld.mul(fld.scalar(2), c)
 
-    # Polar form b(x, y) = f(x + y) - f(x) - f(y).
-    gram = [
-        [
-            coeff2(i, j)
-            if i != j
-            else fld.mul(fld.scalar(2), coeff2(i, i))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    gram = [[polar(i, j) for j in range(n)] for i in range(n)]
     _, radical = rank_and_kernel(Matrix(fld, gram))
     if fld.p != 2:
         # In odd characteristic f vanishes on the radical automatically.

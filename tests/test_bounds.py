@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -134,6 +135,28 @@ def test_griesmer_min_n_consistency():
         assert bounds.griesmer(d + 1, k, q, mode="min_n").value > n
     with pytest.raises(InvalidParams):
         bounds.griesmer(7, 3, 2, mode="nonsense")
+
+
+def test_griesmer_matches_the_plain_loop():
+    def length_for(d, k, q):
+        return sum(-(-d // q**i) for i in range(k))
+
+    def max_d(n, k, q):
+        d = n
+        while d > 0 and length_for(d, k, q) > n:
+            d -= 1
+        return d
+
+    for q, k, n in product((2, 3, 4, 5, 7, 9), range(1, 8), range(-3, 120)):
+        assert bounds.griesmer(n, k, q).value == max_d(n, k, q)
+        assert bounds.griesmer(n, k, q, mode="min_n").value == length_for(n, k, q)
+
+
+def test_griesmer_answers_at_once_for_huge_n_and_k():
+    # The plain loops take one step per unit of d and per term.
+    assert bounds.griesmer(10**11, 3, 2).value == 57142857142  # floor(4n/7)
+    assert bounds.griesmer(10**7, 10**8, 2).value == 0
+    assert bounds.griesmer(5, 10**8, 2, mode="min_n").value == 5 + 3 + 2 + (10**8 - 3)
 
 
 def test_sorensen_bound():

@@ -128,6 +128,16 @@ def test_compare_reproduces_survey_rows(capsys):
     assert grass["attains_griesmer"]
 
 
+def test_compare_dichotomy_row(capsys):
+    spec = [{"descriptor": {"family": "del_pezzo", "l": 6}, "q": 7}]
+    rc, out, _ = run(capsys, "compare", json.dumps(spec), "--format", "json")
+    assert rc == 0
+    (row,) = json.loads(out)
+    assert (row["n"], row["k"], row["d_status"]) == (99, 4, "dichotomy")
+    assert row["d_predicted"] is None and row["d_options"] == [77, 78]  # q^2 + 4q (+ 1)
+    assert row["d"] in row["d_options"]
+
+
 def test_compare_row_failure_is_recorded_not_fatal(capsys):
     specs = json.dumps(
         [

@@ -99,6 +99,12 @@ def test_dimension_identity_on_every_build():
         assert code.k == len(code.basis_labels) - code.kernel_dim
 
 
+def test_degree_h_basis_keeps_the_labels_it_is_given():
+    points = PointSet(F2, 1, np.array([[1, 0], [0, 1], [1, 1]], np.uint8), ["a", "b", "c"])
+    assert build_evaluation_code(points, h=1).basis_labels == ["x0", "x1"]
+    assert build_evaluation_code(points, h=1, basis_labels=["u", "v"]).basis_labels == ["u", "v"]
+
+
 def test_empty_point_set_rejected():
     with pytest.raises(EmptyPointSet):
         build_evaluation_code(PointSet(F2, 1, [], []), h=1)

@@ -18,6 +18,7 @@ from varcodes.varieties import VarietyDescriptor
 
 
 BIG = "1" + "0" * 4400
+LINE = '{"ambient":2,"degree":1,"terms":[[[1,0,0],1]]}'
 
 
 def run(capsys, *argv):
@@ -68,15 +69,42 @@ def run(capsys, *argv):
         (["compare", "@{deep}"], "maximum recursion depth exceeded"),
         (["bound", "griesmer", "@{deep}"], "maximum recursion depth exceeded"),
         (["analyze", "{deep}"], "maximum recursion depth exceeded"),
+        # Results past the int-string digit limit are refused, not printed.
+        (["predict", '{"family":"projective_space","m":20000}', "--q", "2"], "4300 digits"),
+        (["bound", "counts", '{"family":"projective_space","m":20000,"q":2}'], "4300 digits"),
+        # Refusals of the shape of an argument, of a descriptor and of a calculator.
+        (["bound", "griesmer", "[1]"], "must be a JSON object"),
+        (["compare", '{"q":2}'], "expects a JSON list"),
+        (["build", '{"family":"quadric","m":3}', "--q", "3"], "needs both m and w, or a form"),
+        (["build", '{"family":"quadric","form":{"ambient":2,"degree":3,"terms":[[[3,0,0],1]]}}',
+          "--q", "3"], "must have degree 2"),
+        (["build", '{"family":"grassmann","l":3,"m":3}', "--q", "2"], "need 1 <= l < m"),
+        (["build", '{"family":"complete_intersection","forms":[%s]}' % LINE, "--q", "3"],
+         "needs exactly m forms"),
+        (["bound", "weil-hypersurface", '{"q":3,"m":1,"s":2}'], "need ambient dimension m >= 2"),
+        (["bound", "weil-hypersurface", '{"q":3,"m":3,"s":0}'], "degree must be >= 1"),
+        (["bound", "griesmer", '{"n":10,"k":0,"q":2}'], "need k >= 1"),
+        (["bound", "ruled-surface", '{"a":3,"q":2,"b1":-1,"b2":1,"e":0}'], "need b1, b2 >= 0"),
+        (["bound", "ruled-surface", '{"a":3,"q":2,"b1":5,"b2":2,"e":0}'], "non-positive (-2)"),
+        (["bound", "counts", '{"family":"quadric","m":3,"w":0,"q":3,"rho":9}'],
+         "rank must be in 1..4, got 9"),
+        (["bound", "counts", '{"family":"hermitian","m":0,"r":2}'], "need m >= 1 and r >= 2"),
+        (["bound", "counts", '{"family":"flag","m":1,"q":2}'], "need m >= 2"),
+        (["analyze", "{lowrank}"], "not full rank"),
     ],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv, message):
-    big, latin1, deep = (tmp_path / f"{name}.json" for name in ("big", "latin1", "deep"))
+    names = ("big", "latin1", "deep", "lowrank")
+    big, latin1, deep, lowrank = (tmp_path / f"{name}.json" for name in names)
     big.write_text('{"n":%s}' % BIG)
     latin1.write_bytes('{"point_labels":["é"]}'.encode("latin-1"))
     deep.write_text("[" * 100000 + "]" * 100000)
-    for name, path in (("{big}", big), ("{latin1}", latin1), ("{deep}", deep)):
-        argv = [a.replace(name, str(path)) for a in argv]
+    lowrank.write_text(json.dumps({
+        "format_version": 1, "field": {"p": 2, "e": 1}, "n": 2, "k": 2,
+        "generator": [[1, 0], [1, 0]], "point_labels": ["a", "b"], "basis_labels": ["x", "y"],
+    }))
+    for name, path in zip(names, (big, latin1, deep, lowrank)):
+        argv = [a.replace("{%s}" % name, str(path)) for a in argv]
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
@@ -87,6 +115,21 @@ def test_predict_rejects_what_build_rejects(capsys):
     desc = '{"family":"projective_space","m":0}'
     assert run(capsys, "build", desc, "--q", "4")[0] == 2
     assert run(capsys, "predict", desc, "--q", "4")[0] == 2
+
+
+@pytest.mark.parametrize("terms", [[], [[[1, 1, 0], 0]]], ids=["no-terms", "zero-term"])
+def test_zero_quadric_form_is_refused_everywhere(capsys, terms):
+    desc = json.dumps({"family": "quadric", "form": {"ambient": 2, "degree": 2, "terms": terms}})
+    for command in ("build", "points", "predict"):
+        rc, out, err = run(capsys, command, desc, "--q", "3")
+        assert (rc, out) == (2, "") and "no nonzero term" in err
+    rc, out, _ = run(capsys, "compare", '[{"descriptor":%s,"q":3}]' % desc, "--format", "json")
+    assert rc == 0 and "no nonzero term" in json.loads(out)[0]["error"]
+
+
+def test_quadric_count_rank_may_be_null(capsys):
+    rc, out, _ = run(capsys, "bound", "counts", '{"family":"quadric","m":3,"w":0,"q":3,"rho":null}')
+    assert rc == 0 and json.loads(out)["value"] == 10  # rho = m + 1: the elliptic quadric
 
 
 def _artifact(tmp_path, capsys, edit):
