@@ -36,8 +36,8 @@ class BoundReport:
 
 
 def sigma(m: int, q: int) -> int:
-    """#P^m(F_q) = q^m + ... + q + 1, with sigma(-1) = 0."""
-    return sum(q**i for i in range(m + 1))
+    """#P^m(F_q) = q^m + ... + q + 1 = (q^(m+1) - 1) / (q - 1), and 0 for m < 0."""
+    return (q ** (m + 1) - 1) // (q - 1) if m >= 0 else 0
 
 
 def binomial(n: int, k: int) -> int:

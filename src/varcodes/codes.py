@@ -11,12 +11,13 @@ weight distribution are reductions over r = 1, and the r-th generalized
 Hamming weight is the minimum over rank r.
 
 Over GF(q) with q <= 7 the scalar classes instead go through BLAS float32
-products of one-hot rows (_class_weights): a weight is the number of
-positions where the two halves of a message disagree (n minus a hyperplane
-section), and one product counts them for a whole block of classes.  Where
-one operand holds whole rows, each one-hot operand is built once, not once
-per pair of blocks.  The cost grows with q (2q flops per class and
-position), so from GF(8) on, and for r >= 2, the bit engine runs.  A split
+products (_class_weights): a weight is the number of positions where the
+two halves of a message disagree (n minus a hyperplane section), and one
+product counts them for a whole block of classes, from q - 1 indicator
+planes per position and one weight column.  Where one operand holds whole
+rows, each operand is built once, not once per pair of blocks.  The cost
+grows with q (2(q - 1) flops per class and position), so from GF(8) on,
+and for r >= 2, the bit engine runs.  A split
 of the generator whose column halves repeat (long codes with few rows, such
 as the Grassmann codes) is folded: its products run over the distinct
 halves, with a matrix counting the columns of each pair, which each split
@@ -38,6 +39,7 @@ import numpy as np
 from .bounds import gaussian_binomial
 from .errors import (
     DEFAULT_BUDGET,
+    DimensionMismatch,
     EmptyPointSet,
     InputError,
     InvalidParams,
@@ -47,7 +49,7 @@ from .errors import (
 )
 from .families import build_point_set, check_descriptor, predict, require_fields
 from .gf import GF
-from .linalg import Matrix, pivot_patterns, rref
+from .linalg import Matrix, pivot_patterns, rank, rref
 from .projgeom import Form, enumerate_monomials, evaluate_forms
 from .varieties import PointSet, VarietyDescriptor, delpezzo_points
 
@@ -130,17 +132,23 @@ class LinearCode:
         require_fields("artifact field", d["field"], _FIELD_KINDS, {"q", "modulus"})
         fld = GF.from_dict(d["field"])
         rows = d["generator"]
-        # Range-check the JSON ints before they become array entries.
-        if any(row and not (min(row) >= 0 and max(row) < fld.q) for row in rows):
-            raise InvalidParams(f"artifact generator has an entry outside GF({fld.q})")
-        gen = Matrix(fld, rows)
+        # Range-check the JSON ints as one int64 array before they become field elements.
+        outside = InvalidParams(f"artifact generator has an entry outside GF({fld.q})")
+        try:
+            entries = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
+        except OverflowError:  # past int64, such as 2**70
+            raise outside from None
+        except ValueError:  # rows of different lengths
+            raise DimensionMismatch("ragged rows") from None
+        if entries.size and not (entries.min() >= 0 and entries.max() < fld.q):
+            raise outside
+        gen = Matrix(fld, entries.astype(fld.array_ops().dtype))
         if (gen.nrows, gen.ncols, len(d["point_labels"])) != (d["k"], d["n"], d["n"]):
             raise InvalidParams(
                 f"artifact says k={d['k']}, n={d['n']}, but has a {gen.nrows} x "
                 f"{gen.ncols} generator and {len(d['point_labels'])} point labels"
             )
-        _, pivots = rref(gen)
-        if not 0 < len(pivots) == gen.nrows:
+        if not 0 < rank(gen) == gen.nrows:
             raise InvalidParams("artifact generator is not full rank")
         return cls(
             fld,
@@ -289,12 +297,34 @@ def _enumerate(code: LinearCode, r: int, fold) -> Iterator:
         span.cache_clear()
 
 
-def _onehot(test, t, q: int) -> np.ndarray:
-    """Row i is test(t[i, j], x) for every x in GF(q), then every j, in float32."""
-    out = np.empty((len(t), q, t.shape[1]), dtype=np.float32)
-    for x in range(q):
-        test(t, x, out=out[:, x], casting="unsafe")
-    return out.reshape(len(t), -1)
+def _lead_operand(a, q: int, weight=None) -> np.ndarray:
+    """Row i: [a[i, j] = 0] - [a[i, j] = x] for x = 1..q-1, then j; then weight[i], if given.
+
+    float32, with entries -1, 0 and 1 in the planes.
+    """
+    cols = a.shape[1]
+    out = np.empty((len(a), (q - 1) * cols + (weight is not None)), dtype=np.float32)
+    zero = (a == 0).view(np.int8)
+    for x in range(1, q):
+        out[:, (x - 1) * cols : x * cols] = zero - (a == x).view(np.int8)
+    if weight is not None:
+        out[:, -1] = weight
+    return out
+
+
+def _tail_operand(b, q: int, ones: bool = False) -> np.ndarray:
+    """Row (x - 1) cols + j: [b[i, j] = x] for every i, x = 1..q-1; then ones, if asked.
+
+    float32, built in the (K, rows) C order that the product reads.
+    """
+    cols = b.shape[1]
+    out = np.empty(((q - 1) * cols + ones, len(b)), dtype=np.float32)
+    bt = np.ascontiguousarray(b.T)
+    for x in range(1, q):
+        out[(x - 1) * cols : x * cols] = bt == x
+    if ones:
+        out[-1] = 1
+    return out
 
 
 def _distinct_columns(part: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -319,20 +349,25 @@ def _fold(g: np.ndarray, a: int, q: int, ops) -> tuple:
     the columns, each column scaled to a leading 1, and H^T is the (m2, m1)
     float32 count of the columns with each pair.  Plain, they are G' and G''
     themselves and H^T is None: each column is its own part.  The split
-    folds when its plain products take at least _FOLD_FLOOR multiply-adds
-    and the folded ones fewer: q N_tail m2 m1 + N_lead N_tail q m1 against
-    N_lead N_tail q n.
+    folds when N_lead N_tail q n reaches _FOLD_FLOOR and the folded products
+    take fewer multiply-adds than the plain ones, (q - 1) N_tail m2 m1 +
+    N_lead N_tail (q - 1) m1 against N_lead N_tail (q - 1) n: when
+    m1 (m2 + N_lead) < N_lead n.  G' is grouped first, and G'' only when
+    m1 (1 + N_lead) < N_lead n leaves room for some m2 >= 1.
     """
     n = g.shape[1]
     nlead, ntail = (q**a - 1) // (q - 1), q ** (len(g) - a)
     if nlead * ntail * q * n >= _FOLD_FLOOR and q**a < 2**63:  # keys fit int64
         first = g[(g != 0).argmax(axis=0), np.arange(n)]  # 0 on a zero column
         scaled = ops.mul(g, ops.pow(first, q - 2))
-        (lead, i1), (tail, i2) = _distinct_columns(scaled[:a], q), _distinct_columns(scaled[a:], q)
-        m1, m2 = lead.shape[1], tail.shape[1]
-        if m1 * (m2 + nlead) < nlead * n:
-            h = np.bincount(i2 * m1 + i1, minlength=m2 * m1).astype(np.float32)
-            return lead, tail, h.reshape(m2, m1)
+        lead, i1 = _distinct_columns(scaled[:a], q)
+        m1 = lead.shape[1]
+        if m1 * (1 + nlead) < nlead * n:
+            tail, i2 = _distinct_columns(scaled[a:], q)
+            m2 = tail.shape[1]
+            if m1 * (m2 + nlead) < nlead * n:
+                h = np.bincount(i2 * m1 + i1, minlength=m2 * m1).astype(np.float32)
+                return lead, tail, h.reshape(m2, m1)
     return g[:a], g[a:], None
 
 
@@ -343,29 +378,37 @@ def _class_weights(code: LinearCode, fold) -> Iterator:
     k - a rows of G = (G'; G'').  The classes with u1 != 0 are the normalized
     u1 (first nonzero entry 1: g[p] + span of the rows p+1..a-1) with every
     u2; those with u1 = 0 are the classes of G'' alone, split again.  The
-    weight of u1 G' - u2 G'' is the number of positions where the rows u1 G'
-    and u2 G'' differ: the dot product of their one-hot rows, the first one
-    complemented.  So one float32 product weighs a whole block of classes.
-    u2 runs over a span, which is closed under negation, so these are the
-    weights of u1 G' + u2 G'' too.
+    weight of u1 G' - u2 G'' is the number of positions where the rows
+    A = u1 G' and B = u2 G'' differ.  Since sum_x [B_j = x] = 1,
+
+        [A_j != B_j] = [A_j != 0] + sum_(x != 0) [B_j = x] ([A_j = 0] - [A_j = x]),
+
+    so one float32 product weighs a whole block of classes: the lead operand
+    holds the q - 1 planes [A = 0] - [A = x] (entries -1, 0, 1) and one
+    column with the weight of A, the tail operand the q - 1 planes [B = x]
+    and one row of ones.  u2 runs over a span, which is closed under
+    negation, so these are the weights of u1 G' + u2 G'' too.
 
     A weight depends only on the multiset of the columns, and scaling a
     column keeps every weight.  So a split may fold its columns (see _fold):
     with c1 over the distinct G' parts, c2 over the distinct G'' parts and
-    H[c1, c2] the number of columns with that pair, the weight is
-    sum_x NotEq_x(u1 c1) H Eq_x(u2 c2)^T.  The tail's one-hot times H^T is
-    one product per tail block, and the lead's one-hot spans m1 parts, not n
-    columns.  Every term and partial sum is a count of at most n < 2^24, so
-    the weights are exact in whatever order BLAS adds them.
+    H[c1, c2] the number of columns with that pair, the planes run over the
+    m1 lead parts, the tail's planes are multiplied by H (one batched
+    product per chunk), and the weight of A counts each part h.sum(axis=0)
+    times.  Every term is at most n in absolute value and the terms of one
+    weight add up to at most 2n < 2^24 in absolute value, so the weights
+    are exact in whatever order BLAS adds them.
 
     A block is at most sqrt(BLOCK // 16) classes on a side, and the parts
-    are cut so that a one-hot operand holds at most BLOCK // 4 float32
-    entries (the bytes of the bit engine's table): long codes still get
-    square products.  When one chunk covers the lead parts, each tail
-    block's operand is built once for every lead block, and the whole lead's
-    one-hot once if it fits the same cap.  Cut parts take per-chunk lead
-    operands, and a tail block's partial products are held until its last
-    chunk.  The float32 weights go to fold as they are.
+    are cut so that an operand holds at most BLOCK // 4 float32 entries (the
+    bytes of the bit engine's table), the weight column and the row of ones
+    included: long codes still get square products.  The weight column and
+    the row of ones go into the first chunk of parts only.  When one chunk
+    covers the lead parts, each tail block's operand is built once for every
+    lead block, and the whole lead operand once if it fits the same cap.
+    Cut parts take per-chunk lead operands, and a tail block's partial
+    products are held until its last chunk.  The float32 weights go to fold
+    as they are.
     """
     q = code.field.q
     ops = code.field.array_ops()
@@ -385,28 +428,38 @@ def _class_weights(code: LinearCode, fold) -> Iterator:
         rest = span(lead_part[1:])  # span(parts[p+1:a]) is its first q^(a-1-p) rows
         lead = np.concatenate([ops.add(lead_part[p], rest[: q ** (a - 1 - p)]) for p in range(a)])
         tail = span(tail_part)
+        nonzero = lead != 0
+        weight = nonzero.sum(axis=1) if h is None else nonzero @ h.sum(axis=0)
         na, nb = min(len(lead), side), min(len(tail), side)
-        room = max(1, cap // (max(na, nb) * q))  # parts in one chunk
-        whole = _onehot(np.not_equal, lead, q) if m <= room and len(lead) * q * m <= cap else None
+        room = max(1, (cap // max(na, nb) - 1) // (q - 1))  # parts in one chunk
+        fits = m <= room and len(lead) * ((q - 1) * m + 1) <= cap
+        whole = _lead_operand(lead, q, weight) if fits else None
 
         def right(t, c):
             """The operand of the tail rows t for the lead parts c..c+room-1."""
             if h is None:
-                return _onehot(np.equal, t[:, c : c + room], q)
-            w = sum(
-                _onehot(np.equal, t[:, e : e + room], q).reshape(len(t) * q, -1)
-                @ h[e : e + room, c : c + room]
-                for e in range(0, t.shape[1], room)
-            )
-            return w.reshape(len(t), -1)
+                return _tail_operand(t[:, c : c + room], q, c == 0)
+            cols = min(room, m - c)
+            out = np.empty(((q - 1) * cols + (c == 0), len(t)), dtype=np.float32)
+            planes = out[: (q - 1) * cols].reshape(q - 1, cols, len(t))
+            for e in range(0, t.shape[1], room):
+                eq = _tail_operand(t[:, e : e + room], q).reshape(q - 1, -1, len(t))
+                if e:
+                    planes += h[e : e + room, c : c + room].T @ eq
+                else:
+                    np.matmul(h[:room, c : c + room].T, eq, out=planes)
+            if c == 0:
+                out[-1] = 1
+            return out
 
         for i in range(0, len(tail), nb):
             held = {}  # partial products of this tail block, by lead block
             for c in range(0, m, room):
-                r = right(tail[i : i + nb], c).T
+                r = right(tail[i : i + nb], c)
                 for j in range(0, len(lead), na):
                     if whole is None:
-                        w = _onehot(np.not_equal, lead[j : j + na, c : c + room], q) @ r
+                        rows = lead[j : j + na, c : c + room]
+                        w = _lead_operand(rows, q, weight[j : j + na] if c == 0 else None) @ r
                     else:
                         w = whole[j : j + na] @ r
                     if j in held:
@@ -421,24 +474,26 @@ def _class_weights(code: LinearCode, fold) -> Iterator:
 
 
 # Scalar classes over GF(q), q <= PRODUCT_MAX_Q, are weighed by _class_weights.
-# A product costs 2q flops per class and position where the bit engine
+# A product costs 2(q - 1) flops per class and position where the bit engine
 # compares one byte, and GF(8)'s XOR addition keeps the bit engine cheap, but
-# the crossover is not at GF(8) for every shape.  Medians of 100-200
-# alternating min_distance calls on one thread of a 2-core Xeon: the products
-# take 1.4x the bit engine's time on a random [300,6]_8 code, but 0.6x on a
-# random [73,5]_8, 0.9x on a random [585,5]_8, 0.84x on the quadric [585,5]_8
-# that build makes (the one the CLI benchmark analyzes) and 0.87x on the
-# Hermitian [280,4]_9.  float32 counts are exact below 2^24.
+# the crossover is not at GF(8) for every shape.  Medians of 200 alternating
+# scans on one thread of a 2-core Xeon, products against the bit engine: 1.55x
+# the bit engine's time on a random [300,6]_8 code, but 0.96x on a random
+# [73,5]_8, 0.81x on a random [585,5]_8, 0.81x on the quadric [585,5]_8 that
+# build makes (the one the CLI benchmark analyzes) and 0.61x on the Hermitian
+# [280,4]_9.  float32 counts are exact below 2^24.
 PRODUCT_MAX_Q = 7
 
 
 def _scan(code: LinearCode, r: int, fold) -> Iterator:
     """fold(support sizes) of every block of the r-dim subcodes, on the engine that suits them.
 
-    Each fold is made when the consumer asks for it, so min and sum hold one
-    block at a time, whatever the number of blocks.
+    The products need n < 2^23: their partial sums reach 2n, and float32
+    counts are exact below 2^24.  Each fold is made when the consumer asks
+    for it, so min and sum hold one block at a time, whatever the number of
+    blocks.
     """
-    if r == 1 and code.field.q <= PRODUCT_MAX_Q and code.n < 2**24:
+    if r == 1 and code.field.q <= PRODUCT_MAX_Q and code.n < 2**23:
         return _class_weights(code, fold)
     return _enumerate(code, r, fold)
 
@@ -461,6 +516,32 @@ def min_distance(
     return _least_support(code, 1, budget, "minimum distance enumeration")
 
 
+def _weight_histogram(w, n: int) -> np.ndarray:
+    """np.bincount(w, minlength=n + 1) of a block of whole weights 0 <= w <= n.
+
+    The weights are counted in pairs: one bincount of w[:h] (n + 1) + w[h:2h]
+    in uint16, whose row sums and column sums are the histograms of the two
+    halves.  Past n = 255 the pairs overflow uint16, and the weights are
+    counted in small chunks instead.  float32 weights from the products and
+    ints from the bit engine alike.
+    """
+    if (n + 1) ** 2 > 2**16:
+        step = max(4096, n + 1)  # weights cast and counted at a time: a small intp copy
+        return sum(
+            np.bincount(w[s : s + step].astype(np.intp), minlength=n + 1)
+            for s in range(0, len(w), step)
+        )
+    h = len(w) // 2
+    pairs = w[:h].astype(np.uint16)
+    pairs *= n + 1
+    pairs += w[h : 2 * h].astype(np.uint16)
+    counts = np.bincount(pairs, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
+    hist = counts.sum(axis=0) + counts.sum(axis=1)
+    if len(w) % 2:
+        hist[int(w[-1])] += 1
+    return hist
+
+
 def weight_distribution(
     code: LinearCode, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> WeightEnumerator:
@@ -471,15 +552,7 @@ def weight_distribution(
     q, n = code.field.q, code.n
     _check_budget(code, 1, budget, "weight distribution enumeration")
 
-    step = max(4096, n + 1)  # weights cast and counted at a time: a small intp copy
-
-    def histogram(w):  # float32 weights from the products, ints from the bit engine
-        return sum(
-            np.bincount(w[s : s + step].astype(np.intp), minlength=n + 1)
-            for s in range(0, len(w), step)
-        )
-
-    hist = (q - 1) * sum(_scan(code, 1, histogram))
+    hist = (q - 1) * sum(_scan(code, 1, lambda w: _weight_histogram(w, n)))
     hist[0] += 1
     invariant(int(hist.sum()) == q**code.k, "weight enumerator normalization failed")
     return WeightEnumerator({w: int(c) for w, c in enumerate(hist) if c})

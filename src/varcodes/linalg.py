@@ -88,6 +88,11 @@ def pivot_patterns(r: int, k: int):
 
 
 def rank(M: Matrix) -> int:
+    """Rank of M.  With more than 2k columns for k rows, the leading 2k are
+    eliminated first, and all of them only when those are short of rank k."""
+    k = M.nrows
+    if M.ncols > 2 * k and len(rref(Matrix(M.field, M.rows[:, : 2 * k]))[1]) == k:
+        return k
     return len(rref(M)[1])
 
 

@@ -23,6 +23,12 @@ def test_sigma():
     assert bounds.sigma(3, 2) == 15
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_sigma_closed_form_is_the_sum_of_powers(q):
+    for m in range(-1, 13):
+        assert bounds.sigma(m, q) == sum(q**i for i in range(m + 1))
+
+
 def test_gaussian_binomial_values():
     assert bounds.gaussian_binomial(4, 2, 2) == 35
     assert bounds.gaussian_binomial(4, 2, 3) == 130

@@ -7,6 +7,7 @@ import tracemalloc
 from functools import reduce
 from itertools import combinations, product
 from math import comb, isqrt, prod
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -515,7 +516,7 @@ def test_weight_distribution_folds_each_block_as_it_is_made(make):
 
 def test_min_distance_holds_one_product_at_a_time():
     # [31,10]_5 in a generic basis, where no split folds, takes the cached
-    # lead one-hot (781 x 155 floats, 473 KiB), a tail one-hot (155 KiB), one
+    # lead operand (781 x 125 floats, 381 KiB), a tail operand (125 KiB), one
     # 256 x 256 product (256 KiB) and the spans (122 KiB) at once.  A product
     # kept while the next one is made adds 256 KiB.
     code = _change_basis(_code("projective_space", {"m": 2}, 3, F5), seed=5)
@@ -527,6 +528,33 @@ def test_min_distance_holds_one_product_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 1100 * 2**10
+
+
+@pytest.mark.parametrize("n", [1, 31, 255, 256, 1210])  # 255 is the largest paired case
+@pytest.mark.parametrize("length", [1, 2, 7, 4097, 65536])
+def test_weight_histogram_is_bincount(n, length):
+    # Paired counting (n <= 255) and the chunked fallback (n >= 256) against
+    # np.bincount, on the products' float32 weights and the bit engine's
+    # ints (uint8 words when n <= 32, intp sums otherwise), odd lengths too.
+    rng = np.random.default_rng(n * length)
+    w = rng.integers(0, n + 1, length)
+    w[0], w[-1] = n, 0 if length > 1 else n
+    expected = np.bincount(w, minlength=n + 1)
+    for dtype in (np.float32, np.uint8 if n <= 32 else np.intp):
+        assert np.array_equal(codes._weight_histogram(w.astype(dtype), n), expected)
+
+
+def test_scan_sends_codes_past_2_to_23_columns_to_the_bit_engine():
+    # A product's partial sums reach 2n, exact in float32 while 2n < 2^24.
+    def engine(name):
+        return lambda code, *args: name
+
+    with (
+        mock.patch.object(codes, "_class_weights", engine("products")),
+        mock.patch.object(codes, "_enumerate", engine("bits")),
+    ):
+        for n, expected in [(2**23 - 1, "products"), (2**23, "bits"), (2**24, "bits")]:
+            assert codes._scan(SimpleNamespace(field=F5, n=n), 1, np.min) == expected
 
 
 @pytest.mark.parametrize("fld,unused", [(F5, "_enumerate"), (F8, "_class_weights")])
@@ -784,8 +812,8 @@ def _spy_folds(record):
 @pytest.mark.parametrize(
     "q,k,n,block,zero_column,lead",
     [
-        (2, 5, 7, 512, False, "whole"),  # 7 lead rows, 5 a side: two slices of one one-hot
-        (2, 6, 8, 256, False, "per block"),
+        (2, 5, 7, 512, False, "whole"),  # 7 lead rows, 5 a side: two slices of one operand
+        (2, 6, 9, 256, False, "per block"),
         (2, 4, 6, 256, True, "whole"),
         (3, 5, 5, 1024, False, "whole"),
         (3, 4, 4, 128, False, "per block"),
@@ -793,22 +821,22 @@ def _spy_folds(record):
         (4, 3, 3, 256, False, "whole"),
         (4, 4, 4, 256, False, "per block"),
         (5, 3, 5, 1024, True, "whole"),
-        (5, 5, 7, 4096, False, "per block"),
+        (5, 5, 9, 4096, False, "per block"),
         (7, 1, 8, 256, False, "whole"),
         (7, 3, 3, 512, False, "per block"),
         (7, 4, 4, 1024, False, "whole"),
-        # Folded splits, their parts cut into chunks of 8, 8, 3 and 9.
-        (2, 8, 60, 256, True, "folded"),
-        (3, 6, 80, 512, True, "folded"),
+        # Folded splits, their parts cut into chunks of 7, 7, 3 and 10.
+        (2, 8, 60, 64, True, "folded"),
+        (3, 6, 80, 256, True, "folded"),
         (5, 4, 60, 256, True, "folded"),
         (7, 5, 60, 4096, True, "folded"),
     ],
 )
 def test_class_weights_build_each_operand_once(q, k, n, block, zero_column, lead):
-    # With one column chunk, the lead's one-hot is built once when it fits
+    # With one column chunk, the lead operand is built once when it fits
     # BLOCK // 4 floats and per lead block otherwise.  Either way the weights
-    # match the bit engine and the naive histogram, and no one-hot operand
-    # exceeds BLOCK // 4 entries, on plain and on folded splits.
+    # match the bit engine and the naive histogram, and no operand exceeds
+    # BLOCK // 4 entries, on plain and on folded splits.
     seed = 1000 * q + 10 * k + n
     if lead == "folded":
         code = _repeated_parts_code(q, k, n, seed, lead_parts=3 * k, tail_parts=3 * k)
@@ -819,19 +847,22 @@ def test_class_weights_build_each_operand_once(q, k, n, block, zero_column, lead
     assert {0: 1} | {w: (q - 1) * int(c) for w, c in enumerate(bits) if c} == hist
     assert int(min(codes._enumerate(code, 1, np.min))) == min(w for w in hist if w)
 
-    shapes = []  # (complemented, rows, columns) of every one-hot
+    shapes = []  # (lead, rows, columns) of the element rows behind every operand
     folds = []
 
-    def spy(test, t, q):
-        out = onehot(test, t, q)
-        assert out.size <= block // 4
-        shapes.append((test is np.not_equal, *t.shape))
-        return out
+    def spy(build, is_lead):
+        def built(t, *args):
+            out = build(t, *args)
+            assert out.size <= block // 4
+            shapes.append((is_lead, *t.shape))
+            return out
 
-    onehot = codes._onehot
+        return built
+
     with (
         mock.patch.object(codes, "BLOCK", block),
-        mock.patch.object(codes, "_onehot", spy),
+        mock.patch.object(codes, "_lead_operand", spy(codes._lead_operand, True)),
+        mock.patch.object(codes, "_tail_operand", spy(codes._tail_operand, False)),
         mock.patch.object(codes, "_fold", _spy_folds(folds)),
         mock.patch.object(codes, "_FOLD_FLOOR", 0 if lead == "folded" else codes._FOLD_FLOOR),
     ):
@@ -842,7 +873,7 @@ def test_class_weights_build_each_operand_once(q, k, n, block, zero_column, lead
         assert folded and any(cols < n for _, _, cols in shapes)
         a, side = -(-k // 2), isqrt(block // 16)
         na, nb = min((q**a - 1) // (q - 1), side), min(q ** (k - a), side)
-        assert m1 > block // 4 // (max(na, nb) * q)  # the lead parts were cut
+        assert m1 > (block // 4 // max(na, nb) - 1) // (q - 1)  # the lead parts were cut
         return
     assert not any(folded for _, folded in folds)
     leads, tails = [], []  # classes with u1 != 0 and u2 choices, split by split
@@ -854,8 +885,8 @@ def test_class_weights_build_each_operand_once(q, k, n, block, zero_column, lead
         rows -= a
     scans = 3  # d, d_1 and wdist
     assert all(cols == n for _, _, cols in shapes)
-    assert sum(r for complemented, r, _ in shapes if not complemented) == scans * sum(tails)
-    lead_rows = sum(r for complemented, r, _ in shapes if complemented)
+    assert sum(r for is_lead, r, _ in shapes if not is_lead) == scans * sum(tails)
+    lead_rows = sum(r for is_lead, r, _ in shapes if is_lead)
     if lead == "whole":
         assert lead_rows == scans * sum(leads)
     assert ((True, leads[0], n) in shapes) == (lead == "whole")

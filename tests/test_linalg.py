@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,6 +65,42 @@ def test_rref_idempotent_and_kernel(q):
         assert ker.rows.dtype == F.array_ops().dtype
         for v in ker.rows.tolist():
             assert _mul_vec(M, v) == [0] * M.nrows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7])
+def test_rank_of_wide_matrices_falls_back_past_a_short_window(q):
+    # rank eliminates the leading 2k columns of a k x n matrix first.  When
+    # they are zero or repeat one column, the rank sits in the columns after
+    # them; rank-deficient matrices must not stop at the window either.
+    F = GF.from_order(q)
+    rng = np.random.default_rng(q)
+    calls = []
+
+    def counted(M):
+        calls.append(M.ncols)
+        return rref(M)
+
+    for k, n in [(2, 5), (3, 7), (4, 30), (6, 40)]:
+        full = rng.integers(0, q, (k, n)).astype(F.array_ops().dtype)
+        zero_window = full.copy()
+        zero_window[:, : 2 * k] = 0
+        repeated = full.copy()
+        repeated[:, : 2 * k] = full[:, :1]
+        deficient = full.copy()
+        deficient[-1] = deficient[0]
+        for rows in (zero_window, repeated, deficient):
+            M = Matrix(F, rows)
+            calls.clear()
+            with mock.patch("varcodes.linalg.rref", counted):
+                r = rank(M)
+            assert r == len(rref(M)[1])
+            assert calls == [2 * k, n]  # the window, then every column
+        assert rank(Matrix(F, deficient)) < k
+        if len(rref(Matrix(F, full[:, : 2 * k]))[1]) == k:
+            calls.clear()
+            with mock.patch("varcodes.linalg.rref", counted):
+                assert rank(Matrix(F, full)) == k
+            assert calls == [2 * k]
 
 
 def test_rank_and_kernel_identity_and_zero():

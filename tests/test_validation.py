@@ -7,6 +7,7 @@ raise InternalError (exit code 4), also under python -O.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -109,6 +110,23 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv, message):
     assert rc == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", '{"family":"projective_space","m":100000}', "--q", "2"],
+        ["bound", "elementary", '{"n":10,"delta":100000,"q":2,"s":1}'],
+    ],
+    ids=["predict", "elementary"],
+)
+def test_projective_space_size_of_a_large_m_is_refused_at_once(capsys, argv):
+    # #P^m(F_2) has 30103 digits at m = 100000: sigma is a closed form, so
+    # the digit limit refuses the result without a sum of 100001 powers.
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "") and "4300 digits" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_predict_rejects_what_build_rejects(capsys):
