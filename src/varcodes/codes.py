@@ -24,6 +24,14 @@ halves, with a matrix counting the columns of each pair, which each split
 chooses by comparing flop counts.  Both engines count every class once, so
 the budget estimate n * [k choose r]_q describes either; on folded splits
 it is an upper bound.
+
+For r >= 2, ghw has a second exact path, the column-span search
+(_column_spans): d_r = n minus the most columns in a (k - r)-dim subspace,
+found by growing spans of the distinct column points one point at a time,
+so its cost grows with k - r where the subcode scan's grows with r.
+_least_support estimates both in bit-engine steps, runs the cheaper one and
+checks the budget against that path's estimate.  min_distance and
+weight_distribution always scan.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
 
@@ -327,6 +335,12 @@ def _tail_operand(b, q: int, ones: bool = False) -> np.ndarray:
     return out
 
 
+def _scaled_columns(g: np.ndarray, q: int, ops) -> np.ndarray:
+    """g with each nonzero column scaled to a leading 1 (zero columns stay 0)."""
+    first = g[(g != 0).argmax(axis=0), np.arange(g.shape[1])]  # 0 on a zero column
+    return ops.mul(g, ops.pow(first, q - 2))
+
+
 def _distinct_columns(part: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct columns of part, and the index of each column among them."""
     key = np.zeros(part.shape[1], dtype=np.int64)  # base-q digits, below q^rows
@@ -358,8 +372,7 @@ def _fold(g: np.ndarray, a: int, q: int, ops) -> tuple:
     n = g.shape[1]
     nlead, ntail = (q**a - 1) // (q - 1), q ** (len(g) - a)
     if nlead * ntail * q * n >= _FOLD_FLOOR and q**a < 2**63:  # keys fit int64
-        first = g[(g != 0).argmax(axis=0), np.arange(n)]  # 0 on a zero column
-        scaled = ops.mul(g, ops.pow(first, q - 2))
+        scaled = _scaled_columns(g, q, ops)
         lead, i1 = _distinct_columns(scaled[:a], q)
         m1 = lead.shape[1]
         if m1 * (1 + nlead) < nlead * n:
@@ -502,8 +515,149 @@ def _check_budget(code: LinearCode, r: int, budget: int, what: str) -> None:
     check_budget(code.n * gaussian_binomial(code.k, r, code.field.q), what, budget)
 
 
-def _least_support(code: LinearCode, r: int, budget: int, what: str) -> int:
-    _check_budget(code, r, budget, what)
+def _column_points(code: LinearCode) -> tuple[np.ndarray, np.ndarray, int]:
+    """(points, weight, zeros): the distinct nonzero columns, each scaled to a
+    leading 1, as a (k, m) array; the number of columns on each; and the
+    number of zero columns."""
+    q, ops = code.field.q, code.field.array_ops()
+    points, index = _distinct_columns(_scaled_columns(code.generator.rows, q, ops), q)
+    weight = np.bincount(index)
+    zeros = int(weight[0]) if not points[:, 0].any() else 0  # the zero key sorts first
+    return points[:, zeros > 0 :], weight[zeros > 0 :], zeros
+
+
+def _column_spans(code: LinearCode, r: int, points, weight, zeros: int) -> int:
+    """d_r = n - the most columns in one (k - r)-dimensional subspace W.
+
+    A code's columns g_j are a projective system, and an r-dim subcode's
+    support is the complement of the columns in the (k - r)-dim W that its
+    messages annihilate, so d_r = n - max_W #{j : g_j in W} (Tsfasman and
+    Vladut, IEEE-IT 1995).  The max is reached on a W spanned by columns,
+    since adding a column to a span never loses one.  Zero columns lie in
+    every W, and proportional columns on the same point share one weight.
+
+    The walk grows spans of the m distinct points, one point per level.  A
+    node is a t-dim span V, held as the (k - t, m) syndromes of the points
+    modulo V, each scaled to a leading 1 and read as one base-q key (0 on
+    the points of V).  The points with one key span one (t + 1)-dim space
+    with V, so a node's children are its nonzero keys, and each child's
+    syndromes are the node's with its point's pivot row eliminated and
+    dropped.  A span is reached once: its new point is the least point of
+    its key, past the node's own last point.  The last level is not
+    expanded: it takes the key with the most columns, node by node.  The
+    nodes of a level go through numpy together, at most BLOCK field
+    elements at a time.
+    """
+    q, k, n = code.field.q, code.k, code.n
+    ops = code.field.array_ops()
+    m, s = points.shape[1], k - r
+    if s == 0:
+        return n - zeros
+    inverse = ops.pow(np.arange(q, dtype=ops.dtype), q - 2)
+    repeated = weight.max() > 1  # else every count is a count of points
+
+    def keys(S):
+        """Scale each syndrome of the (N, rows, m) stack S to a leading 1; its keys."""
+        if q > 2:
+            lead = S[:, -1].copy()
+            for row in range(S.shape[1] - 2, -1, -1):
+                np.copyto(lead, S[:, row], where=S[:, row] != 0)
+            S = ops.mul(S, inverse[lead][:, None])
+        key = np.zeros(S.shape[::2], dtype=np.int64)
+        for row in range(S.shape[1]):
+            key *= q
+            key += S[:, row]
+        return S, key
+
+    def most(key, size):
+        """The most columns in a node's V and one of its keys, over a (N, m) key array."""
+        flat = (np.arange(len(key))[:, None] * size + key).ravel()
+        w = np.broadcast_to(weight, key.shape).ravel() if repeated else None
+        if size <= 8 * m:  # count the keys node by node, BLOCK // size nodes at a time
+            best, piece = 0, max(1, BLOCK // size) * m
+            for i in range(0, len(flat), piece):
+                part = flat[i : i + piece] - i // m * size
+                ws = None if w is None else w[i : i + piece]
+                counts = np.bincount(part, ws, len(part) // m * size).reshape(-1, size)
+                best = max(best, int((counts[:, 0] + counts[:, 1:].max(axis=1)).max()))
+            return best
+        order = flat.argsort()
+        flat = flat[order]
+        starts = np.flatnonzero(np.diff(flat, prepend=-1))
+        if repeated:
+            counts = np.add.reduceat(w[order], starts)
+        else:  # one point a column
+            counts = np.diff(starts, append=len(flat))
+        node, own = np.divmod(flat[starts], size)
+        inside = np.bincount(node[own == 0], counts[own == 0], minlength=len(key))
+        return int((counts + inside[node])[own != 0].max())
+
+    best = 0
+
+    def level(S, last, t):
+        nonlocal best
+        S, key = keys(S)
+        size = q ** S.shape[1]
+        if t == s - 1:
+            best = max(best, most(key, size))
+            return
+        flat = (np.arange(len(key))[:, None] * size + key).ravel()
+        order = flat.argsort(kind="stable")  # a key's least point first
+        starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
+        node, j = np.divmod(order[starts], m)
+        keep = (key[node, j] != 0) & (j > last[node])
+        node, j = node[keep], j[keep]
+        del key, flat, order, starts
+        rows = S.shape[1] - 1
+        step = max(1, BLOCK // (rows * m))
+        for c in range(0, len(node), step):
+            nd, jj = node[c : c + step], j[c : c + step]
+            v = S[nd, :, jj]  # each child's point, 1 at its pivot row
+            pivot = (v != 0).argmax(axis=1)
+            kept = np.arange(rows) + (np.arange(rows) >= pivot[:, None])
+            coef = S[nd, pivot]
+            minus_v = ops.neg(np.take_along_axis(v, kept, axis=1))
+            C = ops.add(S[nd[:, None], kept], ops.mul(coef[:, None, :], minus_v[:, :, None]))
+            level(C, jj, t + 1)
+
+    level(points[None], np.array([-1]), 0)
+    return n - zeros - best
+
+
+# One column-span step (a syndrome entry: field mul, add and key) costs more
+# than one bit-engine step (a subcode and position), so _least_support weighs
+# the column-span estimate by SPAN_WEIGHT to count both in bit-engine steps.
+# Medians of repeated calls on one thread of a 2-core Xeon, both paths called
+# directly: a span step took 3.5-15 ns on searches past 1 ms and a bit-engine
+# step 0.08-0.9 ns.  The closest calls either way: d_3 of the flag [52,8]_3,
+# whose raw span estimate is 1/20.9 of the bit engine's, took 501 ms on the
+# spans and 126 ms on the bit engine; d_5 of the Grassmann [130,6]_3, at
+# 1/60.7, took 0.07 and 0.47 ms.  SPAN_WEIGHT sits between the two.
+SPAN_WEIGHT = 32
+
+
+def _least_support(code: LinearCode, r: int, budget: int) -> int:
+    """d_r on the exact path with the smaller estimate, checked against the budget.
+
+    The subcode scan (_scan) costs n [k choose r]_q steps.  The column-span
+    search (_column_spans) makes at most min(C(m, i), [k choose i]_q) nodes
+    at level i < k - r, for m distinct column points, each of (k - i) m
+    syndrome entries; that sum is weighed by SPAN_WEIGHT.  d_1 is the
+    minimum distance and always scans, as min_distance does.  The search
+    needs base-q keys of whole columns, so it runs only when q^k < 2^40.
+    """
+    q, k, n = code.field.q, code.k, code.n
+    scan = n * gaussian_binomial(k, r, q)
+    if r > 1 and q**k < 2**40:
+        points, weight, zeros = _column_points(code)
+        m = points.shape[1]
+        spans = SPAN_WEIGHT * sum(
+            min(comb(m, i), gaussian_binomial(k, i, q)) * (k - i) * m for i in range(k - r)
+        )
+        if spans < scan:
+            check_budget(spans, "column-span search", budget)
+            return _column_spans(code, r, points, weight, zeros)
+    check_budget(scan, "subspace enumeration", budget)
     return int(min(_scan(code, r, np.min)))
 
 
@@ -513,7 +667,8 @@ def min_distance(
     """Exact minimum distance: the least weight over the scalar classes.
 
     Ignores workers: the scan is sequential (the benchmark still passes it)."""
-    return _least_support(code, 1, budget, "minimum distance enumeration")
+    _check_budget(code, 1, budget, "minimum distance enumeration")
+    return int(min(_scan(code, 1, np.min)))
 
 
 def _weight_histogram(w, n: int) -> np.ndarray:
@@ -563,10 +718,12 @@ def ghw(
 ) -> int:
     """r-th generalized Hamming weight: the least support of an r-dim subcode.
 
-    Ignores workers: the scan is sequential (the benchmark still passes it)."""
+    On the subcode scan or the column-span search, whichever _least_support
+    estimates cheaper; both are exact and sequential.  Ignores workers (the
+    benchmark still passes it)."""
     if not 1 <= r <= code.k:
         raise InvalidParams(f"need 1 <= r <= k = {code.k}, got {r}")
-    return _least_support(code, r, budget, "subspace enumeration")
+    return _least_support(code, r, budget)
 
 
 def eckardt_detect(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:

@@ -13,10 +13,15 @@ inversion and powers go through generator-power (exp/log) tables.  Addition
 is digitwise mod p: XOR of the indices when p = 2.  For odd p a negation
 table and, up to q = 256, the q x q addition table are computed with numpy
 from the digit rule; above q = 256, where that table would not fit, the digit
-rule runs on each call.  Scalar and array operations read the same tables;
-the array pow is exp of a multiple of logs, masked to 0 where the base is 0,
-and the array mul one lookup of a sum of logs in the exp table repeated once
-and padded with zeros, where the log of 0 lands.
+rule runs on each call.  Scalar and array operations read the same tables,
+except the array add of a prime field whose sums 2(p - 1) fit the element
+dtype (p <= 128 in uint8, p <= 32768 in uint16): there s = a + b, and
+min(s, s - p) in that dtype is the sum, since s - p wraps past every sum
+when s < p.  The array pow is exp of a multiple of logs, masked to 0 where
+the base is 0.  The array mul is one lookup of a sum of logs in the exp
+table repeated once and padded with zeros, where the log of 0 lands; up to
+q = 16 it is one gather from the q x q product table, at the uint8 index
+a q + b.
 
 The modulus is canonical: the monic irreducible of degree e over GF(p)
 whose coefficient vector, read as a base-p integer with the constant term
@@ -295,7 +300,15 @@ class GF:
         else:
             negate = np.array(self._neg, dtype)
             neg = negate.__getitem__
-            if table is not None:
+            if self.e == 1 and 2 * (q - 1) <= np.iinfo(dtype).max:
+                # s = a + b fits the dtype; s - p wraps past every sum when s < p.
+                # On a 729 x 64 uint8 block, 0.007 ms against 0.14 ms for the table.
+
+                def add(a, b):
+                    s = np.add(a, b, dtype=dtype, casting="unsafe")
+                    return np.minimum(s, s - q, out=s)
+
+            elif table is not None:
 
                 def add(a, b):
                     return table[a.astype(np.uint16) * q + b]
@@ -314,6 +327,12 @@ class GF:
 
         def mul(a, b):
             return mul_exp[mul_log[a] + mul_log[b]]
+
+        if q <= 16:  # a * b at a q + b: on 1.2M entries, 2-3 ms against 9 ms for the logs
+            product = mul(*np.divmod(np.arange(q * q), q))
+
+            def mul(a, b):
+                return product.take(np.multiply(a, q, dtype=np.uint8, casting="unsafe") + b)
 
         def pow(a, n):
             return np.where(a != 0, exp[log[a] * n % (q - 1)], np.equal(n, 0))

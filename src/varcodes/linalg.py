@@ -52,12 +52,16 @@ class Matrix:
 
 def rref(M: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns; row space is preserved."""
-    F = M.field
-    ops = F.array_ops()
     R = M.rows.copy()
+    return Matrix(M.field, R), _eliminate(M.field, R)
+
+
+def _eliminate(F: GF, R: np.ndarray) -> list[int]:
+    """Bring the index array R to reduced row echelon form in place; its pivot columns."""
+    ops = F.array_ops()
     pivots: list[int] = []
     col = 0
-    for r in range(M.nrows):
+    for r in range(len(R)):
         remaining = R[r:, col:].any(axis=0).nonzero()[0]
         if not remaining.size:
             break
@@ -74,7 +78,7 @@ def rref(M: Matrix) -> tuple[Matrix, list[int]]:
             R[others, col:] = ops.add(R[others, col:], ops.neg(scaled))
         pivots.append(col)
         col += 1
-    return Matrix(F, R), pivots
+    return pivots
 
 
 def pivot_patterns(r: int, k: int):
@@ -88,12 +92,26 @@ def pivot_patterns(r: int, k: int):
 
 
 def rank(M: Matrix) -> int:
-    """Rank of M.  With more than 2k columns for k rows, the leading 2k are
-    eliminated first, and all of them only when those are short of rank k."""
-    k = M.nrows
-    if M.ncols > 2 * k and len(rref(Matrix(M.field, M.rows[:, : 2 * k]))[1]) == k:
+    """Rank of M.  With more than 2k columns for k rows, the rows that are
+    not zero on the leading 2k columns are eliminated there first, next to
+    an identity that records their row operations T.  When that window is
+    short of rank k, the rows it leaves zero go on, as T times the columns
+    after it, with the rows that were zero on it, to one elimination of
+    those columns alone, so no column is eliminated twice."""
+    F, rows = M.field, M.rows
+    k = len(rows)
+    if rows.shape[1] <= 2 * k:
+        return len(_eliminate(F, rows.copy()))
+    live = rows[:, : 2 * k].any(axis=1)
+    R = np.hstack([rows[live, : 2 * k], np.eye(live.sum(), dtype=rows.dtype)])
+    done = sum(p < 2 * k for p in _eliminate(F, R))
+    if done == k:
         return k
-    return len(rref(M)[1])
+    ops, T, rest = F.array_ops(), R[done:, 2 * k :], rows[live, 2 * k :]
+    carried = np.zeros((len(T), rest.shape[1]), rows.dtype)
+    for i in np.flatnonzero(T.any(axis=0)):  # carried = T rest
+        carried = ops.add(carried, ops.mul(T[:, i, None], rest[i]))
+    return done + len(_eliminate(F, np.vstack([rows[~live, 2 * k :], carried])))
 
 
 def rank_and_kernel(M: Matrix) -> tuple[int, Matrix]:

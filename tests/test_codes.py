@@ -982,3 +982,121 @@ def test_grassmann_weight_distribution_is_nogin_spectrum(m, q):
     for floor in (codes._FOLD_FLOOR, 0):
         with mock.patch.object(codes, "_FOLD_FLOOR", floor):
             assert weight_distribution(code).counts == _nogin_spectrum(m, q)
+
+
+def _special_columns_code(q, k, n, seed):
+    """A random full-rank code whose column 0 is zero, column 1 repeats column
+    2 and column 3 is a multiple of column 4 (by a scalar other than 1 when
+    q > 2), left unreduced."""
+    F = GF.from_order(q)
+    ops = F.array_ops()
+    rng = np.random.default_rng(seed)
+    while True:
+        g = rng.integers(0, q, (k, n)).astype(ops.dtype)
+        g[:, 0] = 0
+        g[:, 1] = g[:, 2]
+        g[:, 3] = ops.mul(g[:, 4], rng.integers(2, q) if q > 2 else 1)
+        if rank(Matrix(F, g)) == k:
+            return LinearCode(F, Matrix(F, g), [""] * n, [""] * k, {})
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        lambda: _special_columns_code(2, 5, 14, 1),
+        lambda: _special_columns_code(3, 4, 12, 2),
+        lambda: _special_columns_code(4, 4, 10, 3),
+        lambda: _special_columns_code(5, 3, 9, 4),
+        lambda: _special_columns_code(7, 3, 8, 5),
+        lambda: _special_columns_code(8, 3, 8, 6),
+        lambda: _special_columns_code(9, 3, 7, 7),
+        lambda: _code("grassmann", {"l": 2, "m": 4}, 1, F2),  # [35,6]_2
+        lambda: _code("quadric", {"m": 3, "w": 2}, 1, F3),  # [16,4]_3
+        lambda: _code("p1xp1", {"alpha": 1, "beta": 1}, 1, F2),  # [9,4]_2
+        lambda: _code("projective_space", {"m": 1}, 2, F9),  # [10,3]_9
+    ],
+)
+def test_column_spans_match_the_subcode_scan(code):
+    # Both d_r paths, called directly, for every r: the column-span search
+    # and the subcode scan.  BLOCK = 64 cuts every level into batches and the
+    # last level's counts into pieces; the default keeps whole levels.
+    code = code()
+    scan = [int(min(codes._scan(code, r, np.min))) for r in range(1, code.k + 1)]
+    for block in (64, codes.BLOCK):
+        with mock.patch.object(codes, "BLOCK", block):
+            points = codes._column_points(code)
+            spans = [codes._column_spans(code, r, *points) for r in range(1, code.k + 1)]
+        assert spans == scan
+
+
+def test_column_points_count_zero_repeated_and_proportional_columns():
+    code = _special_columns_code(5, 3, 9, 4)
+    points, weight, zeros = codes._column_points(code)
+    assert zeros == 1 and points.shape == (3, 6) and weight.sum() == 8
+    assert sorted(weight.tolist())[-2:] == [2, 2]  # columns 1, 2 and 3, 4 share points
+
+
+@pytest.mark.parametrize("m,q", [(4, 2), (4, 3), (4, 4), (4, 5), (5, 2)], ids=str)
+def test_grassmann_top_of_the_hierarchy_is_n_minus_a_line(m, q):
+    # The Pluecker points of G(2, m) are distinct, and the most of them on a
+    # line of P^(k-1) are the q + 1 on a line of G(2, m) (the planes between
+    # a point and a 3-space), so d_(k-2) = n - q - 1, d_(k-1) = n - 1 and
+    # d_k = n.  A closed form that shares no code with either path.
+    code = _code("grassmann", {"l": 2, "m": m}, 1, GF.from_order(q))
+    n, k = code.n, code.k
+    assert n == gaussian_binomial(m, 2, q)
+    assert [ghw(code, r) for r in (k - 2, k - 1, k)] == [n - q - 1, n - 1, n]
+
+
+def _spy_paths(ran):
+    """Patches that append "bits", "products" or "spans" to ran for each path that runs."""
+
+    def spy(name, fn):
+        def wrapped(*args):
+            ran.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    return (
+        mock.patch.object(codes, "_enumerate", spy("bits", codes._enumerate)),
+        mock.patch.object(codes, "_class_weights", spy("products", codes._class_weights)),
+        mock.patch.object(codes, "_column_spans", spy("spans", codes._column_spans)),
+    )
+
+
+def test_ghw_runs_the_path_with_the_smaller_estimate():
+    # The Hermitian [280,4]_9 that the CLI benchmark analyzes: d_2 on the bit
+    # engine (raw span estimate 236320 against 2089360 subcode steps, so the
+    # weighted spans lose), d_3 and d_4 on the column spans, and d_1 on the
+    # scan, as min_distance (the bit engine over GF(9)).
+    code = _code("hermitian", {"m": 3, "r": 3}, 1, F9)
+    got = {}
+    for r in range(1, 5):
+        ran = []
+        patches = _spy_paths(ran)
+        with patches[0], patches[1], patches[2]:
+            got[r] = ghw(code, r)
+        assert ran == {1: ["bits"], 2: ["bits"], 3: ["spans"], 4: ["spans"]}[r]
+    assert got == {r: int(min(codes._scan(code, r, np.min))) for r in range(1, 5)}
+
+
+def test_budget_exceeded_carries_the_estimate_of_the_path_that_runs():
+    code = _code("hermitian", {"m": 3, "r": 3}, 1, F9)
+    k, n, q, m = code.k, code.n, 9, code.n  # no two columns on one point
+    spans = codes.SPAN_WEIGHT * sum(
+        min(comb(m, i), gaussian_binomial(k, i, q)) * (k - i) * m for i in range(k - 3)
+    )
+    for r, estimate in [(2, n * gaussian_binomial(k, 2, q)), (3, spans)]:
+        with pytest.raises(BudgetExceeded) as err:
+            ghw(code, r, budget=estimate - 1)
+        assert err.value.estimate == estimate
+        assert ghw(code, r, budget=estimate) == int(min(codes._scan(code, r, np.min)))
+
+
+def test_high_rank_weights_of_a_long_code_fit_the_default_budget():
+    # d_8 of G(2,5) over GF(3), [1210,10]_3: n [10 choose 8]_3 = 8.8e10 subcode
+    # steps, but a column-span estimate of 4.2e8 (lines through pairs of points).
+    code = _code("grassmann", {"l": 2, "m": 5}, 1, F3)
+    assert (code.n, code.k) == (1210, 10)
+    assert [ghw(code, 8), ghw(code, 9)] == [1206, 1209]

@@ -194,7 +194,7 @@ def test_addition_is_digitwise_mod_p(q):
         assert (F.add(a, b), F.sub(a, b), F.neg(a)) == _digit_oracle(F, a, b)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 243, 256, 729])
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 25, 243, 256, 729])
 def test_array_mul_neg_pow_match_polynomial_arithmetic(q):
     # Oracles that never read the exp/log or negation tables: the
     # table-free polynomial product _mul_raw (every pair; a fixed sample for
@@ -299,3 +299,16 @@ def test_field_cache_returns_same_object():
 def test_serialization_round_trip():
     F = GF(3, 2)
     assert GF.from_dict(F.to_dict()) is field(3, 2)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 127, 131, 251, 257])
+def test_prime_field_array_addition_is_digitwise_on_every_pair(q):
+    # Up to p = 128 in uint8 (and p = 32768 in uint16) the array add is
+    # min(a + b, a + b - p) in the element dtype; GF(131) and GF(251) keep
+    # the table, because a + b would wrap in uint8 there.
+    F = GF(q)
+    ops = F.array_ops()
+    a, b = np.divmod(np.arange(q * q), q)
+    got = ops.add(a.astype(ops.dtype), b.astype(ops.dtype))
+    assert got.dtype == ops.dtype
+    assert got.tolist() == F._digitwise(a, b, 1).tolist()

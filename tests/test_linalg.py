@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from varcodes import linalg
 from varcodes.gf import GF
 from varcodes.linalg import Matrix, det, maximal_minors, rank, rank_and_kernel, rref
 
@@ -68,17 +69,19 @@ def test_rref_idempotent_and_kernel(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 7])
-def test_rank_of_wide_matrices_falls_back_past_a_short_window(q):
+def test_rank_of_wide_matrices_continues_past_a_short_window(q):
     # rank eliminates the leading 2k columns of a k x n matrix first.  When
     # they are zero or repeat one column, the rank sits in the columns after
-    # them; rank-deficient matrices must not stop at the window either.
+    # them; rank-deficient matrices must not stop at the window either.  The
+    # elimination goes on from the window to the columns after it, and never
+    # sees the whole matrix again.
     F = GF.from_order(q)
     rng = np.random.default_rng(q)
-    calls = []
+    calls, eliminate = [], linalg._eliminate
 
-    def counted(M):
-        calls.append(M.ncols)
-        return rref(M)
+    def counted(F, R):
+        calls.append(R.shape)
+        return eliminate(F, R)
 
     for k, n in [(2, 5), (3, 7), (4, 30), (6, 40)]:
         full = rng.integers(0, q, (k, n)).astype(F.array_ops().dtype)
@@ -91,16 +94,18 @@ def test_rank_of_wide_matrices_falls_back_past_a_short_window(q):
         for rows in (zero_window, repeated, deficient):
             M = Matrix(F, rows)
             calls.clear()
-            with mock.patch("varcodes.linalg.rref", counted):
+            with mock.patch.object(linalg, "_eliminate", counted):
                 r = rank(M)
             assert r == len(rref(M)[1])
-            assert calls == [2 * k, n]  # the window, then every column
+            # The window next to an identity of its nonzero rows, then the rest.
+            (live, window), (_, rest) = calls
+            assert (window, rest) == (2 * k + live, n - 2 * k)
         assert rank(Matrix(F, deficient)) < k
         if len(rref(Matrix(F, full[:, : 2 * k]))[1]) == k:
             calls.clear()
-            with mock.patch("varcodes.linalg.rref", counted):
+            with mock.patch.object(linalg, "_eliminate", counted):
                 assert rank(Matrix(F, full)) == k
-            assert calls == [2 * k]
+            assert calls == [(k, 3 * k)]
 
 
 def test_rank_and_kernel_identity_and_zero():
