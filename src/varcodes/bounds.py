@@ -50,6 +50,7 @@ def gaussian_binomial(m: int, l: int, q: int) -> int:
     """Number of l-dimensional subspaces of F_q^m."""
     if l < 0 or l > m:
         return 0
+    l = min(l, m - l)  # [m choose l]_q = [m choose m - l]_q, by the fewer factors
     num = den = 1
     for i in range(l):
         num *= q**m - q**i

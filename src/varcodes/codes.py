@@ -1,44 +1,35 @@
 """Evaluation codes and exact parameter measurement.
 
-Two exact engines measure everything.  The bit engine walks the RREF pivot
-patterns of r x k message matrices, so each r-dimensional subcode is met
-once, and reports the support size of every subcode.  Codewords are numpy
-vectors of field elements, added and scaled by GF.array_ops.  The tables of
-codewords are built once per enumeration.  Supports are packed to machine
-words, OR'ed and counted with np.bitwise_count.  The r = 1 subcodes are
-the scalar classes of nonzero codewords, so the minimum distance and the
-weight distribution are reductions over r = 1, and the r-th generalized
-Hamming weight is the minimum over rank r.
+Three exact paths measure d, the weight distribution and the generalized
+Hamming weights d_r.  _plan states where each path applies and its estimate,
+runs the cheapest one and checks the budget against it.
 
-Over GF(q) with q <= 7 the scalar classes instead go through BLAS float32
-products (_class_weights): a weight is the number of positions where the
-two halves of a message disagree (n minus a hyperplane section), and one
-product counts them for a whole block of classes, from q - 1 indicator
-planes per position and one weight column.  Where one operand holds whole
-rows, each operand is built once, not once per pair of blocks.  The cost
-grows with q (2(q - 1) flops per class and position), so from GF(8) on,
-and for r >= 2, the bit engine runs.  A split
-of the generator whose column halves repeat (long codes with few rows, such
-as the Grassmann codes) is folded: its products run over the distinct
-halves, with a matrix counting the columns of each pair, which each split
-chooses by comparing flop counts.  Both engines count every class once, so
-the budget estimate n * [k choose r]_q describes either; on folded splits
-it is an upper bound.
+The bit engine (_enumerate) walks the RREF pivot patterns of r x k message
+matrices, meeting each r-dimensional subcode once, and counts supports packed
+to machine words with np.bitwise_count.  The r = 1 subcodes are the scalar
+classes of nonzero codewords, so d and the weight distribution are
+reductions over r = 1, and d_r is the minimum over rank r.
 
-For r >= 2, ghw has a second exact path, the column-span search
-(_column_spans): d_r = n minus the most columns in a (k - r)-dim subspace,
-found by growing spans of the distinct column points one point at a time,
-so its cost grows with k - r where the subcode scan's grows with r.
-_least_support estimates both in bit-engine steps, runs the cheaper one and
-checks the budget against that path's estimate.  min_distance and
-weight_distribution always scan.
+The float32 products (_class_weights) weigh a block of scalar classes by one
+BLAS product, from q - 1 indicator planes per position and one weight
+column: a weight is the number of positions where the two halves of a
+message disagree.  Their cost grows with q (2(q - 1) flops per class and
+position).  A split of the generator whose column halves repeat (long codes
+with few rows, such as the Grassmann codes) is folded onto the distinct
+halves, with a matrix counting the columns of each pair, when that takes
+fewer flops.  Both scans count every class once, so one estimate describes
+either; on folded splits it is an upper bound.
+
+The column-span search (_column_spans) finds d_r = n minus the most columns
+in a (k - r)-dim subspace, growing spans of the distinct column points one
+point at a time, so its cost grows with k - r where the scans' grows with r.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import comb, isqrt
 
@@ -486,33 +477,15 @@ def _class_weights(code: LinearCode, fold) -> Iterator:
         g = g[a:]
 
 
-# Scalar classes over GF(q), q <= PRODUCT_MAX_Q, are weighed by _class_weights.
-# A product costs 2(q - 1) flops per class and position where the bit engine
-# compares one byte, and GF(8)'s XOR addition keeps the bit engine cheap, but
-# the crossover is not at GF(8) for every shape.  Medians of 200 alternating
-# scans on one thread of a 2-core Xeon, products against the bit engine: 1.55x
-# the bit engine's time on a random [300,6]_8 code, but 0.96x on a random
-# [73,5]_8, 0.81x on a random [585,5]_8, 0.81x on the quadric [585,5]_8 that
-# build makes (the one the CLI benchmark analyzes) and 0.61x on the Hermitian
-# [280,4]_9.  float32 counts are exact below 2^24.
+# _plan runs the products up to GF(PRODUCT_MAX_Q).  A product costs 2(q - 1)
+# flops per class and position where the bit engine compares one byte, and
+# GF(8)'s XOR addition keeps the bit engine cheap, but the crossover is not at
+# GF(8) for every shape.  Medians of 200 alternating scans on one thread of a
+# 2-core Xeon, products against the bit engine: 1.55x the bit engine's time on
+# a random [300,6]_8 code, but 0.96x on a random [73,5]_8, 0.81x on a random
+# [585,5]_8, 0.81x on the quadric [585,5]_8 that build makes (the one the CLI
+# benchmark analyzes) and 0.61x on the Hermitian [280,4]_9.
 PRODUCT_MAX_Q = 7
-
-
-def _scan(code: LinearCode, r: int, fold) -> Iterator:
-    """fold(support sizes) of every block of the r-dim subcodes, on the engine that suits them.
-
-    The products need n < 2^23: their partial sums reach 2n, and float32
-    counts are exact below 2^24.  Each fold is made when the consumer asks
-    for it, so min and sum hold one block at a time, whatever the number of
-    blocks.
-    """
-    if r == 1 and code.field.q <= PRODUCT_MAX_Q and code.n < 2**23:
-        return _class_weights(code, fold)
-    return _enumerate(code, r, fold)
-
-
-def _check_budget(code: LinearCode, r: int, budget: int, what: str) -> None:
-    check_budget(code.n * gaussian_binomial(code.k, r, code.field.q), what, budget)
 
 
 def _column_points(code: LinearCode) -> tuple[np.ndarray, np.ndarray, int]:
@@ -625,7 +598,7 @@ def _column_spans(code: LinearCode, r: int, points, weight, zeros: int) -> int:
 
 
 # One column-span step (a syndrome entry: field mul, add and key) costs more
-# than one bit-engine step (a subcode and position), so _least_support weighs
+# than one bit-engine step (a subcode and position), so _plan weighs
 # the column-span estimate by SPAN_WEIGHT to count both in bit-engine steps.
 # Medians of repeated calls on one thread of a 2-core Xeon, both paths called
 # directly: a span step took 3.5-15 ns on searches past 1 ms and a bit-engine
@@ -636,29 +609,44 @@ def _column_spans(code: LinearCode, r: int, points, weight, zeros: int) -> int:
 SPAN_WEIGHT = 32
 
 
-def _least_support(code: LinearCode, r: int, budget: int) -> int:
-    """d_r on the exact path with the smaller estimate, checked against the budget.
+def _plan(code: LinearCode, r: int, budget: int):
+    """The runner of the cheapest exact path over the r-dim subcodes, within budget.
 
-    The subcode scan (_scan) costs n [k choose r]_q steps.  The column-span
-    search (_column_spans) makes at most min(C(m, i), [k choose i]_q) nodes
-    at level i < k - r, for m distinct column points, each of (k - i) m
-    syndrome entries; that sum is weighed by SPAN_WEIGHT.  d_1 is the
-    minimum distance and always scans, as min_distance does.  The search
-    needs base-q keys of whole columns, so it runs only when q^k < 2^40.
+        path                admits                               estimate
+        float32 products    r = 1, q <= PRODUCT_MAX_Q, n < 2^23  n [k choose r]_q
+        bit engine          always                               n [k choose r]_q
+        column-span search  r >= 2, q^k < 2^40                   SPAN_WEIGHT S
+
+    The products' partial sums reach 2n, exact in float32 below 2^24.  The
+    search keys whole columns as base-q integers; for m distinct column
+    points, S sums min(C(m, i), [k choose i]_q) nodes at each level i < k - r
+    times their (k - i) m syndrome entries.  The least estimate runs, the
+    first listed on a tie, and BudgetExceeded names its path.  The runner
+    returns fold(support sizes) of each block as the consumer asks for it, so
+    min and sum hold one block at a time; the search makes one block, [d_r].
     """
     q, k, n = code.field.q, code.k, code.n
     scan = n * gaussian_binomial(k, r, q)
+    paths = []
+    if r == 1 and q <= PRODUCT_MAX_Q and n < 2**23:
+        paths.append(("float32 products", scan, partial(_class_weights, code)))
+    paths.append(("bit engine", scan, partial(_enumerate, code, r)))
     if r > 1 and q**k < 2**40:
         points, weight, zeros = _column_points(code)
         m = points.shape[1]
         spans = SPAN_WEIGHT * sum(
             min(comb(m, i), gaussian_binomial(k, i, q)) * (k - i) * m for i in range(k - r)
         )
-        if spans < scan:
-            check_budget(spans, "column-span search", budget)
-            return _column_spans(code, r, points, weight, zeros)
-    check_budget(scan, "subspace enumeration", budget)
-    return int(min(_scan(code, r, np.min)))
+        paths.append(("column-span search", spans,
+                      lambda fold: [fold([_column_spans(code, r, points, weight, zeros)])]))
+    name, estimate, run = min(paths, key=lambda path: path[1])
+    check_budget(estimate, f"the {name} at r = {r}", budget)
+    return run
+
+
+def _d(code: LinearCode, r: int, budget: int) -> int:
+    """d_r, the least support of an r-dim subcode, on the path that _plan picks."""
+    return int(min(_plan(code, r, budget)(np.min)))
 
 
 def min_distance(
@@ -667,8 +655,7 @@ def min_distance(
     """Exact minimum distance: the least weight over the scalar classes.
 
     Ignores workers: the scan is sequential (the benchmark still passes it)."""
-    _check_budget(code, 1, budget, "minimum distance enumeration")
-    return int(min(_scan(code, 1, np.min)))
+    return _d(code, 1, budget)
 
 
 def _weight_histogram(w, n: int) -> np.ndarray:
@@ -705,9 +692,7 @@ def weight_distribution(
     Its least nonzero weight, support()[0], is the minimum distance.
     Ignores workers: the scan is sequential (the benchmark still passes it)."""
     q, n = code.field.q, code.n
-    _check_budget(code, 1, budget, "weight distribution enumeration")
-
-    hist = (q - 1) * sum(_scan(code, 1, lambda w: _weight_histogram(w, n)))
+    hist = (q - 1) * sum(_plan(code, 1, budget)(lambda w: _weight_histogram(w, n)))
     hist[0] += 1
     invariant(int(hist.sum()) == q**code.k, "weight enumerator normalization failed")
     return WeightEnumerator({w: int(c) for w, c in enumerate(hist) if c})
@@ -718,12 +703,11 @@ def ghw(
 ) -> int:
     """r-th generalized Hamming weight: the least support of an r-dim subcode.
 
-    On the subcode scan or the column-span search, whichever _least_support
-    estimates cheaper; both are exact and sequential.  Ignores workers (the
-    benchmark still passes it)."""
+    On the path that _plan estimates cheapest; every path is exact and
+    sequential.  Ignores workers (the benchmark still passes it)."""
     if not 1 <= r <= code.k:
         raise InvalidParams(f"need 1 <= r <= k = {code.k}, got {r}")
-    return _least_support(code, r, budget)
+    return _d(code, r, budget)
 
 
 def eckardt_detect(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:

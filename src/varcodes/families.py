@@ -38,7 +38,8 @@ from .errors import (
     ParityMismatch,
 )
 from .gf import GF, prime_power
-from .projgeom import Form, enumerate_projective_points
+from .linalg import maximal_minors
+from .projgeom import Form, enumerate_projective_points, evaluate_forms
 from .varieties import (
     PointSet,
     VarietyDescriptor,
@@ -253,6 +254,20 @@ def _check_complete_intersection(p: Params, q: int) -> None:
 # -- point sets, predictions and bounds ---------------------------------------------
 
 
+def _reduced_intersection(p: Params, q: int, n: int) -> bool:
+    """True iff the m forms meet in n = their degree product of points, where
+    each has a Jacobian of rank m (is reduced), as Cayley-Bacharach needs: a
+    curve given twice has the count, but not the rank."""
+    if n != math.prod(f["degree"] for f in p["forms"]):
+        return False
+    fld = GF.from_order(q)
+    forms = [Form.from_dict(fld, f) for f in p["forms"]]
+    pts, m = complete_intersection_points(forms).points, len(forms)
+    jacobian = evaluate_forms([f.partial(i) for f in forms for i in range(m + 1)], pts)
+    minors = maximal_minors(fld, jacobian.T.reshape(len(pts), m, m + 1))
+    return len(pts) == n and bool(minors.any(axis=1).all())
+
+
 def _projective_points(p: Params, fld: GF) -> PointSet:
     pts = enumerate_projective_points(p["m"], fld, p.get("affine", False))
     return PointSet(fld, p["m"], pts, point_labels(pts, fld))
@@ -445,10 +460,9 @@ FAMILIES: dict[str, Family] = {
         points=lambda p, fld: complete_intersection_points(
             [Form.from_dict(fld, f) for f in p["forms"]]
         ),
-        # Cayley-Bacharach needs the n points to be the whole reduced intersection.
         bounds=lambda p, h, q, n: (
             [partial(bounds.cayley_bacharach_bound, [f["degree"] for f in p["forms"]], h)]
-            if n == math.prod(f["degree"] for f in p["forms"]) else []
+            if _reduced_intersection(p, q, n) else []
         ),
     ),
     "p1xp1": Family(

@@ -36,6 +36,18 @@ def test_gaussian_binomial_values():
     assert bounds.gaussian_binomial(4, 4, 2) == 1
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_gaussian_binomial_is_symmetric_and_q_pascal(q):
+    # [m choose l]_q = [m choose m - l]_q, and the q-Pascal rule
+    # [m choose l]_q = [m-1 choose l-1]_q + q^l [m-1 choose l]_q.
+    g = bounds.gaussian_binomial
+    for m in range(9):
+        for l in range(m + 1):
+            assert g(m, l, q) == g(m, m - l, q)
+            if 0 < l:
+                assert g(m, l, q) == g(m - 1, l - 1, q) + q**l * g(m - 1, l, q)
+
+
 def test_elementary_bound():
     assert bounds.elementary_bound(45, 3, 2, 4).value == 30
     # hyperplane case: s = 1
@@ -70,9 +82,10 @@ def test_cayley_bacharach_matches_brute_force_on_affine_plane():
     # The 9 affine points of P^2(F_3) are a reduced (3,3) complete
     # intersection; the degree-2 code there has d = 3, matching the bound.
     from varcodes.codes import build_evaluation_code, min_distance
+    from varcodes.families import applicable_bounds, lower_bound_value
     from varcodes.gf import GF
     from varcodes.projgeom import Form
-    from varcodes.varieties import complete_intersection_points
+    from varcodes.varieties import VarietyDescriptor, complete_intersection_points
 
     F3 = GF(3)
     forms = []
@@ -84,6 +97,10 @@ def test_cayley_bacharach_matches_brute_force_on_affine_plane():
     assert len(pts) == 9
     code = build_evaluation_code(pts, h=2)
     assert min_distance(code) == 3
+    # Each point is reduced (the Jacobian has rank 2), so the bound is offered.
+    desc = VarietyDescriptor("complete_intersection", {"forms": [f.to_dict() for f in forms]})
+    reps = applicable_bounds(desc, 2, 3, 9)
+    assert [(r.name, lower_bound_value(r)) for r in reps] == [("cayley_bacharach_bound", 3)]
     # Ballico-Fontanari would give 4, but the affine plane has collinear
     # triples, so only the plain bound applies; equality shows tightness.
 

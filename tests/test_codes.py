@@ -4,7 +4,7 @@ import gc
 import random
 import threading
 import tracemalloc
-from functools import reduce
+from functools import cache, partial, reduce
 from itertools import combinations, product
 from math import comb, isqrt, prod
 from types import SimpleNamespace
@@ -544,33 +544,6 @@ def test_weight_histogram_is_bincount(n, length):
         assert np.array_equal(codes._weight_histogram(w.astype(dtype), n), expected)
 
 
-def test_scan_sends_codes_past_2_to_23_columns_to_the_bit_engine():
-    # A product's partial sums reach 2n, exact in float32 while 2n < 2^24.
-    def engine(name):
-        return lambda code, *args: name
-
-    with (
-        mock.patch.object(codes, "_class_weights", engine("products")),
-        mock.patch.object(codes, "_enumerate", engine("bits")),
-    ):
-        for n, expected in [(2**23 - 1, "products"), (2**23, "bits"), (2**24, "bits")]:
-            assert codes._scan(SimpleNamespace(field=F5, n=n), 1, np.min) == expected
-
-
-@pytest.mark.parametrize("fld,unused", [(F5, "_enumerate"), (F8, "_class_weights")])
-def test_scalar_classes_take_one_engine_by_field_size(fld, unused):
-    # Up to GF(7), d, wdist and d_1 come from float32 products alone; from
-    # GF(8) on, from the bit engine alone.
-    def refuse(*args):
-        raise AssertionError(f"{unused} ran on GF({fld.q})")
-
-    code = _code("projective_space", {"m": 1}, 2, fld)
-    hist = _naive_weight_histogram(code)
-    with mock.patch.object(codes, unused, refuse):
-        assert min_distance(code) == ghw(code, 1) == min(w for w in hist if w)
-        assert weight_distribution(code).counts == hist
-
-
 @pytest.mark.parametrize("q", [3, 5, 9, 25, 27, 243, 729])
 def test_odd_p_vector_addition_is_gf_add(q):
     # Oracle: the polynomial-basis digits added mod p, one by one, against
@@ -1021,7 +994,7 @@ def test_column_spans_match_the_subcode_scan(code):
     # and the subcode scan.  BLOCK = 64 cuts every level into batches and the
     # last level's counts into pieces; the default keeps whole levels.
     code = code()
-    scan = [int(min(codes._scan(code, r, np.min))) for r in range(1, code.k + 1)]
+    scan = [int(min(codes._enumerate(code, r, np.min))) for r in range(1, code.k + 1)]
     for block in (64, codes.BLOCK):
         with mock.patch.object(codes, "BLOCK", block):
             points = codes._column_points(code)
@@ -1048,50 +1021,135 @@ def test_grassmann_top_of_the_hierarchy_is_n_minus_a_line(m, q):
     assert [ghw(code, r) for r in (k - 2, k - 1, k)] == [n - q - 1, n - 1, n]
 
 
-def _spy_paths(ran):
-    """Patches that append "bits", "products" or "spans" to ran for each path that runs."""
+def _planned(code, r):
+    """The path that codes._plan runs for the r-dim subcodes of code, on stubs."""
+    ran = []
 
-    def spy(name, fn):
-        def wrapped(*args):
+    def stub(name):
+        def run(*args):
             ran.append(name)
-            return fn(*args)
+            return [0]
 
-        return wrapped
+        return run
 
-    return (
-        mock.patch.object(codes, "_enumerate", spy("bits", codes._enumerate)),
-        mock.patch.object(codes, "_class_weights", spy("products", codes._class_weights)),
-        mock.patch.object(codes, "_column_spans", spy("spans", codes._column_spans)),
-    )
+    with mock.patch.multiple(
+        codes, _class_weights=stub("products"), _enumerate=stub("bits"),
+        _column_spans=stub("spans"),
+    ):
+        list(codes._plan(code, r, 2**80)(np.min))
+    (path,) = ran
+    return path
 
 
-def test_ghw_runs_the_path_with_the_smaller_estimate():
-    # The Hermitian [280,4]_9 that the CLI benchmark analyzes: d_2 on the bit
-    # engine (raw span estimate 236320 against 2089360 subcode steps, so the
-    # weighted spans lose), d_3 and d_4 on the column spans, and d_1 on the
-    # scan, as min_distance (the bit engine over GF(9)).
-    code = _code("hermitian", {"m": 3, "r": 3}, 1, F9)
-    got = {}
-    for r in range(1, 5):
-        ran = []
-        patches = _spy_paths(ran)
-        with patches[0], patches[1], patches[2]:
-            got[r] = ghw(code, r)
-        assert ran == {1: ["bits"], 2: ["bits"], 3: ["spans"], 4: ["spans"]}[r]
-    assert got == {r: int(min(codes._scan(code, r, np.min))) for r in range(1, 5)}
+# The codes of the planner cases: every code that the benchmark measures, by
+# the descriptor that builds it (the path depends on n, k, q and, for the
+# column spans, the number of distinct column points, which an equivalent
+# code shares), and two lengths on either side of the products' 2^23 limit.
+_PLAN_CODES = {
+    "[2^23 - 1,2]_5": lambda: SimpleNamespace(field=F5, n=2**23 - 1, k=2),
+    "[2^23,2]_5": lambda: SimpleNamespace(field=F5, n=2**23, k=2),
+    "[8,3]_7": lambda: _code("projective_space", {"m": 1}, 2, F7),
+    "[9,3]_8": lambda: _code("projective_space", {"m": 1}, 2, F8),
+    "hermitian [280,4]_9": lambda: _code("hermitian", {"m": 3, "r": 3}, 1, F9),
+    "prm [85,10]_4": lambda: _code("projective_space", {"m": 3}, 2, F4),
+    "prm [31,10]_5": lambda: _code("projective_space", {"m": 2}, 3, F5),
+    "grassmann [1210,10]_3": lambda: _code("grassmann", {"l": 2, "m": 5}, 1, F3),
+    "flag [52,8]_3": lambda: _code("flag", {"m": 3}, 1, F3),
+    "prm [21,6]_4": lambda: _code("projective_space", {"m": 2}, 2, F4),
+    "prm [21,10]_4": lambda: _code("projective_space", {"m": 2}, 3, F4),
+    "quadric [585,5]_8": lambda: _code("quadric", {"m": 4, "w": 1}, 1, F8),
+    "schubert [49,5]_3": lambda: _code("schubert", {"l": 2, "m": 5, "alpha": [2, 4]}, 1, F3),
+    "del pezzo [99,4]_7": lambda: _code("del_pezzo", {"l": 6}, 1, F7),
+    **{
+        f"del pezzo l={l} over GF(5)": partial(_code, "del_pezzo", {"l": l}, 1, F5)
+        for l in range(6)  # l = 6 over GF(5) is an error row: no six points in general position
+    },
+}
+
+PLAN_CASES = [
+    # A product's partial sums reach 2n, exact in float32 while 2n < 2^24.
+    ("[2^23 - 1,2]_5", 1, "products"),
+    ("[2^23,2]_5", 1, "bits"),
+    # Scalar classes: float32 products up to GF(7), the bit engine from GF(8) on.
+    ("[8,3]_7", 1, "products"),
+    ("[9,3]_8", 1, "bits"),
+    # d_2 of the Hermitian code scans (raw span estimate 236320 against 2089360
+    # subcode steps, so the weighted spans lose); d_3 and d_4 take the spans.
+    *[("hermitian [280,4]_9", r, path) for r, path in enumerate(["bits"] * 2 + ["spans"] * 2, 1)],
+    # The benchmark: codewords (d and wdist, r = 1).
+    ("prm [85,10]_4", 1, "products"),
+    ("prm [31,10]_5", 1, "products"),
+    ("grassmann [1210,10]_3", 1, "products"),
+    # subspaces.
+    ("flag [52,8]_3", 1, "products"),
+    ("flag [52,8]_3", 2, "bits"),
+    ("flag [52,8]_3", 8, "spans"),
+    ("prm [21,6]_4", 1, "products"),
+    ("prm [21,6]_4", 3, "spans"),
+    ("prm [21,6]_4", 6, "spans"),
+    ("prm [21,10]_4", 1, "products"),
+    ("prm [21,10]_4", 9, "spans"),
+    ("prm [21,10]_4", 10, "spans"),
+    # cli_build: analyze (d, wdist and the Hermitian ghw:2 above) and compare.
+    ("quadric [585,5]_8", 1, "bits"),
+    ("schubert [49,5]_3", 1, "products"),
+    ("del pezzo [99,4]_7", 1, "products"),
+    *[(f"del pezzo l={l} over GF(5)", 1, "products") for l in range(6)],
+]
+
+
+@cache
+def _plan_code(name):
+    return _PLAN_CODES[name]()
+
+
+@pytest.mark.parametrize("name,r,path", PLAN_CASES, ids=[f"{c[0]} r={c[1]}" for c in PLAN_CASES])
+def test_plan_runs_the_admitted_path_with_the_least_estimate(name, r, path):
+    # min_distance and weight_distribution plan r = 1, ghw plans r.
+    assert _planned(_plan_code(name), r) == path
+
+
+@pytest.mark.parametrize(
+    "measure", [min_distance, weight_distribution, partial(ghw, r=1)],
+    ids=["d", "wdist", "ghw1"],
+)
+@pytest.mark.parametrize("name,path", [("prm [21,6]_4", "float32 products"),
+                                       ("hermitian [280,4]_9", "bit engine")])
+def test_budget_refusal_of_the_scalar_classes_names_the_path(measure, name, path):
+    code = _plan_code(name)
+    q = code.field.q
+    estimate = code.n * (q**code.k - 1) // (q - 1)
+    with pytest.raises(BudgetExceeded, match=f"the {path} at r = 1 needs ~{estimate} ") as err:
+        measure(code, budget=estimate - 1)
+    assert err.value.estimate == estimate
+    assert measure(code, budget=estimate) == measure(code)
 
 
 def test_budget_exceeded_carries_the_estimate_of_the_path_that_runs():
-    code = _code("hermitian", {"m": 3, "r": 3}, 1, F9)
+    code = _plan_code("hermitian [280,4]_9")
     k, n, q, m = code.k, code.n, 9, code.n  # no two columns on one point
     spans = codes.SPAN_WEIGHT * sum(
         min(comb(m, i), gaussian_binomial(k, i, q)) * (k - i) * m for i in range(k - 3)
     )
-    for r, estimate in [(2, n * gaussian_binomial(k, 2, q)), (3, spans)]:
-        with pytest.raises(BudgetExceeded) as err:
+    for r, estimate, path in [
+        (2, n * gaussian_binomial(k, 2, q), "bit engine"),
+        (3, spans, "column-span search"),
+    ]:
+        with pytest.raises(BudgetExceeded, match=f"the {path} at r = {r} needs ") as err:
             ghw(code, r, budget=estimate - 1)
         assert err.value.estimate == estimate
-        assert ghw(code, r, budget=estimate) == int(min(codes._scan(code, r, np.min)))
+        assert ghw(code, r, budget=estimate) == int(min(codes._enumerate(code, r, np.min)))
+
+
+def test_min_distance_does_not_go_through_the_public_ghw():
+    # A tracer that wraps ghw must not book the minimum distance as ghw time.
+    code = _plan_code("prm [21,6]_4")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("min_distance called the public ghw")
+
+    with mock.patch.object(codes, "ghw", refuse):
+        assert min_distance(code) == 12
 
 
 def test_high_rank_weights_of_a_long_code_fit_the_default_budget():

@@ -255,6 +255,16 @@ def test_cayley_bacharach_needs_the_whole_intersection():
     assert applicable_bounds(desc, 1, 5, 1) == []
 
 
+@pytest.mark.parametrize("q", [7, 4])
+def test_cayley_bacharach_needs_a_reduced_intersection(q):
+    # The Fermat cubic given twice has 9 = 3 * 3 points over GF(7) and GF(4),
+    # but it is a curve, not a finite intersection: the Jacobian of the two
+    # forms has rank 1 at every point.
+    desc = D("complete_intersection", forms=[FERMAT, FERMAT])
+    assert len(build_point_set(desc, GF.from_order(q))) == 9
+    assert applicable_bounds(desc, 1, q, 9) == []
+
+
 def test_applicable_bounds_passes_internal_errors_on(monkeypatch):
     def broken(*args):
         raise InternalError("broken calculator")

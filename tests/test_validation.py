@@ -92,6 +92,9 @@ def run(capsys, *argv):
         (["bound", "counts", '{"family":"hermitian","m":0,"r":2}'], "need m >= 1 and r >= 2"),
         (["bound", "counts", '{"family":"flag","m":1,"q":2}'], "need m >= 2"),
         (["analyze", "{lowrank}"], "not full rank"),
+        # A result past the digit limit, where [m choose l]_q takes the fewer of
+        # l and m - l factors: one here, not 10^5 ever larger ones.
+        (["predict", '{"family":"grassmann","l":100000,"m":100001}', "--q", "2"], "4300 digits"),
     ],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv, message):
