@@ -13,14 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import Any
 
-from .errors import (
-    DegreeTooLarge,
-    HOutOfRange,
-    HTooLarge,
-    HypothesisViolated,
-    InvalidParams,
-    invariant,
-)
+from .errors import InputError, invariant
 
 
 @dataclass
@@ -84,9 +77,9 @@ def _ceil_frac_minus_sqrt(num: int, den: int, sq: int) -> int:
 def elementary_bound(n: int, s: int, delta: int, q: int) -> BoundReport:
     """d >= n - s*(q^(delta-1) + ... + 1) for a degree-s, dimension-delta variety."""
     if delta < 1:
-        raise InvalidParams("variety dimension must be >= 1")
+        raise InputError("variety dimension must be >= 1")
     if s >= q + 1:
-        raise DegreeTooLarge(f"degree {s} is not < q + 1 = {q + 1}")
+        raise InputError(f"degree {s} is not < q + 1 = {q + 1}")
     value = n - s * sigma(delta - 1, q)
     return BoundReport(
         "elementary_bound",
@@ -99,9 +92,9 @@ def elementary_bound(n: int, s: int, delta: int, q: int) -> BoundReport:
 def covering_family_bound(n_points: int, a: int, N: int, eta: int, l: int) -> BoundReport:
     """d >= #S - l*N - (a - l)*eta for points spread over a curves."""
     if eta > N or eta < 0:
-        raise HypothesisViolated(f"need 0 <= eta <= N, got eta={eta}, N={N}")
+        raise InputError(f"need 0 <= eta <= N, got eta={eta}, N={N}")
     if l > a or l < 0:
-        raise HypothesisViolated(f"need 0 <= l <= a, got l={l}, a={a}")
+        raise InputError(f"need 0 <= l <= a, got l={l}, a={a}")
     value = n_points - l * N - (a - l) * eta
     return BoundReport(
         "covering_family_bound",
@@ -120,10 +113,10 @@ def cayley_bacharach_bound(degrees: list[int], h: int) -> BoundReport:
     """
     m = len(degrees)
     if m < 1 or any(d < 1 for d in degrees):
-        raise InvalidParams("degrees must be a nonempty list of positive ints")
+        raise InputError("degrees must be a nonempty list of positive ints")
     s = sum(degrees) - m - 1
     if not 1 <= h <= s:
-        raise HOutOfRange(f"need 1 <= h <= s = {s}, got h={h}")
+        raise InputError(f"need 1 <= h <= s = {s}, got h={h}")
     return BoundReport(
         "cayley_bacharach_bound",
         {"degrees": list(degrees), "h": h, "s": s},
@@ -138,9 +131,9 @@ def cayley_bacharach_bound(degrees: list[int], h: int) -> BoundReport:
 def weil_hypersurface_interval(q: int, m: int, s: int) -> BoundReport:
     """Integer interval for #X(F_q), X a smooth nondegenerate degree-s hypersurface."""
     if m < 2:
-        raise InvalidParams("need ambient dimension m >= 2")
+        raise InputError("need ambient dimension m >= 2")
     if s < 1:
-        raise InvalidParams("degree must be >= 1")
+        raise InputError("degree must be >= 1")
     b_num = (s - 1) * ((s - 1) ** m - (-1) ** m)
     invariant(b_num % s == 0, "Betti number is not an integer")
     b = b_num // s
@@ -165,7 +158,7 @@ def lachaud_section_bounds(q: int, m: int, s: int, n: int) -> BoundReport:
     as an overall lower bound for d.
     """
     if m < 3:
-        raise InvalidParams("need ambient dimension m >= 3")
+        raise InputError("need ambient dimension m >= 3")
     a1 = (s - 1) ** (m - 1)
     a2 = (s - 1) ** (m - 1) * (q + s - 1)
     a3 = s * (s - 1) ** (m - 1)
@@ -202,7 +195,7 @@ def griesmer(n: int, k: int, q: int, mode: str = "max_d") -> BoundReport:
     is 1 (d > 0) or 0.
     """
     if k < 1:
-        raise InvalidParams("need k >= 1")
+        raise InputError("need k >= 1")
 
     def length_for(d: int) -> int:
         total, power = 0, 1
@@ -224,7 +217,7 @@ def griesmer(n: int, k: int, q: int, mode: str = "max_d") -> BoundReport:
             lo, hi = (mid, hi) if length_for(mid) <= n else (lo, mid)
         value = lo
     else:
-        raise InvalidParams(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     return BoundReport(
         "griesmer", {"n": n, "k": k, "q": q, "mode": mode}, value, "Griesmer bound"
     )
@@ -254,7 +247,7 @@ def sorensen_bound(n: int, h: int, r: int) -> BoundReport:
 def hermitian_ch_bound(n: int, h: int, r: int) -> BoundReport:
     """d >= n - h(r+1)(r^2+1) for degree-h codes on the Hermitian surface."""
     if h >= r + 1:
-        raise HTooLarge(f"need h < r + 1 = {r + 1}, got {h}")
+        raise InputError(f"need h < r + 1 = {r + 1}, got {h}")
     value = n - h * (r + 1) * (r**2 + 1)
     return BoundReport(
         "hermitian_ch_bound",
@@ -271,15 +264,15 @@ def ruled_surface_bound(a: int, q: int, b1: int, b2: int, e: int) -> BoundReport
     b1*C0 + b2*f with invariant e >= 0.
     """
     if e < 0:
-        raise HypothesisViolated("need invariant e >= 0")
+        raise InputError("need invariant e >= 0")
     if b2 >= a:
-        raise HypothesisViolated(f"need b2 < a, got b2={b2}, a={a}")
+        raise InputError(f"need b2 < a, got b2={b2}, a={a}")
     if b1 < 0 or b2 < 0:
-        raise HypothesisViolated("need b1, b2 >= 0")
+        raise InputError("need b1, b2 >= 0")
     n = a * (q + 1)
     d_lower = n - b2 * (q + 1) - (a - b2) * b1
     if d_lower <= 0:
-        raise HypothesisViolated(f"bound is non-positive ({d_lower})")
+        raise InputError(f"bound is non-positive ({d_lower})")
     return BoundReport(
         "ruled_surface_bound",
         {"a": a, "q": q, "b1": b1, "b2": b2, "e": e},
@@ -291,7 +284,7 @@ def ruled_surface_bound(a: int, q: int, b1: int, b2: int, e: int) -> BoundReport
 def dl_a24_params(q: int, h: int) -> BoundReport:
     """Parameters of codes on the Deligne-Lusztig surface of type 2A4."""
     if not 1 <= h <= q**2:
-        raise HOutOfRange(f"need 1 <= h <= q^2 = {q**2}, got {h}")
+        raise InputError(f"need 1 <= h <= q^2 = {q**2}, got {h}")
     n = (q**5 + 1) * (q**3 + 1) * (q**2 + 1)
     k = binomial(4 + h, h)
     if h >= q + 1:
@@ -318,17 +311,17 @@ def quadric_count(m: int, w: int, q: int, rho: int | None = None) -> int:
     if rho is None:
         rho = m + 1
     if not 1 <= rho <= m + 1:
-        raise InvalidParams(f"rank must be in 1..{m + 1}, got {rho}")
+        raise InputError(f"rank must be in 1..{m + 1}, got {rho}")
     if w not in (0, 1, 2):
-        raise InvalidParams(f"character must be 0, 1 or 2, got {w}")
+        raise InputError(f"character must be 0, 1 or 2, got {w}")
     d = rho - 1  # the nondegenerate quadric lives in P^d
     if w == 1:
         if d % 2 != 0:
-            raise InvalidParams("character 1 (parabolic) needs odd rank")
+            raise InputError("character 1 (parabolic) needs odd rank")
         core = sigma(d - 1, q)
     else:
         if d % 2 != 1:
-            raise InvalidParams("characters 0 and 2 need even rank")
+            raise InputError("characters 0 and 2 need even rank")
         core = sigma(d - 1, q) + (w - 1) * q ** ((d - 1) // 2)
     return sigma(m - rho, q) + q ** (m - rho + 1) * core
 
@@ -336,7 +329,7 @@ def quadric_count(m: int, w: int, q: int, rho: int | None = None) -> int:
 def hermitian_count(m: int, r: int) -> int:
     """#X(F_{r^2}) for the nondegenerate Hermitian hypersurface in P^m."""
     if m < 1 or r < 2:
-        raise InvalidParams("need m >= 1 and r >= 2")
+        raise InputError("need m >= 1 and r >= 2")
     b_num = r * (r**m - (-1) ** m)
     invariant(b_num % (r + 1) == 0, "Hermitian count is not an integer")
     b = b_num // (r + 1)
@@ -346,7 +339,7 @@ def hermitian_count(m: int, r: int) -> int:
 def flag_count(m: int, q: int) -> int:
     """Rational point-hyperplane flags: (q^m - 1)(q^(m-1) - 1)/(q - 1)^2."""
     if m < 2:
-        raise InvalidParams("need m >= 2")
+        raise InputError("need m >= 2")
     num = (q**m - 1) * (q ** (m - 1) - 1)
     invariant(num % (q - 1) ** 2 == 0, "flag count is not an integer")
     return num // (q - 1) ** 2
@@ -370,7 +363,7 @@ COUNT_FORMULAS = {
 def counts(family: str, **params) -> BoundReport:
     """A closed-form point count, by formula name and keyword parameters."""
     if family not in COUNT_FORMULAS:
-        raise InvalidParams(f"unknown count family {family!r}")
+        raise InputError(f"unknown count family {family!r}")
     value = COUNT_FORMULAS[family](**params)
     return BoundReport(
         "counts", {"family": family, **params}, value, "closed-form point count"

@@ -36,16 +36,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .bounds import gaussian_binomial
-from .errors import (
-    DEFAULT_BUDGET,
-    DimensionMismatch,
-    EmptyPointSet,
-    InputError,
-    InvalidParams,
-    UnexpectedDistance,
-    check_budget,
-    invariant,
-)
+from .errors import DEFAULT_BUDGET, InputError, InternalError, check_budget, invariant
 from .families import build_point_set, check_descriptor, predict, require_fields
 from .gf import GF
 from .linalg import Matrix, pivot_patterns, rank, rref
@@ -127,28 +118,28 @@ class LinearCode:
     def from_dict(cls, d: dict) -> "LinearCode":
         require_fields("artifact", d, _ARTIFACT_KINDS, {"kernel_dim", "provenance"})
         if d["format_version"] != ARTIFACT_FORMAT_VERSION:
-            raise InvalidParams(f"unsupported artifact format version {d['format_version']!r}")
+            raise InputError(f"unsupported artifact format version {d['format_version']!r}")
         require_fields("artifact field", d["field"], _FIELD_KINDS, {"q", "modulus"})
         fld = GF.from_dict(d["field"])
         rows = d["generator"]
         # Range-check the JSON ints as one int64 array before they become field elements.
-        outside = InvalidParams(f"artifact generator has an entry outside GF({fld.q})")
+        outside = InputError(f"artifact generator has an entry outside GF({fld.q})")
         try:
             entries = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
         except OverflowError:  # past int64, such as 2**70
             raise outside from None
         except ValueError:  # rows of different lengths
-            raise DimensionMismatch("ragged rows") from None
+            raise InputError("ragged rows") from None
         if entries.size and not (entries.min() >= 0 and entries.max() < fld.q):
             raise outside
         gen = Matrix(fld, entries.astype(fld.array_ops().dtype))
         if (gen.nrows, gen.ncols, len(d["point_labels"])) != (d["k"], d["n"], d["n"]):
-            raise InvalidParams(
+            raise InputError(
                 f"artifact says k={d['k']}, n={d['n']}, but has a {gen.nrows} x "
                 f"{gen.ncols} generator and {len(d['point_labels'])} point labels"
             )
         if not 0 < rank(gen) == gen.nrows:
-            raise InvalidParams("artifact generator is not full rank")
+            raise InputError("artifact generator is not full rank")
         return cls(
             fld,
             gen,
@@ -181,18 +172,18 @@ def build_evaluation_code(
     the kernel dimension (forms vanishing on all of S) is recorded.
     """
     if len(points) == 0:
-        raise EmptyPointSet("no evaluation points")
+        raise InputError("no evaluation points")
     fld = points.field
     if basis is None:
         if h is None:
-            raise InvalidParams("need a basis or a degree h")
+            raise InputError("need a basis or a degree h")
         basis = [Form.monomial(fld, e) for e in enumerate_monomials(points.ambient, h)]
     if basis_labels is None:
         basis_labels = [str(f) for f in basis]
     reduced, pivots = rref(Matrix(fld, evaluate_forms(basis, points.points)))
     k = len(pivots)
     if k == 0:
-        raise InvalidParams("every basis form vanishes on the whole point set")
+        raise InputError("every basis form vanishes on the whole point set")
     gen = Matrix(fld, reduced.rows[:k])
     return LinearCode(
         fld,
@@ -615,15 +606,18 @@ def _plan(code: LinearCode, r: int, budget: int):
         path                admits                               estimate
         float32 products    r = 1, q <= PRODUCT_MAX_Q, n < 2^23  n [k choose r]_q
         bit engine          always                               n [k choose r]_q
-        column-span search  r >= 2, q^k < 2^40                   SPAN_WEIGHT S
+        column-span search  r >= 2, q^k < 2^40, n k < the scans  n k + SPAN_WEIGHT S
 
     The products' partial sums reach 2n, exact in float32 below 2^24.  The
     search keys whole columns as base-q integers; for m distinct column
     points, S sums min(C(m, i), [k choose i]_q) nodes at each level i < k - r
-    times their (k - i) m syndrome entries.  The least estimate runs, the
-    first listed on a tie, and BudgetExceeded names its path.  The runner
-    returns fold(support sizes) of each block as the consumer asks for it, so
-    min and sum hold one block at a time; the search makes one block, [d_r].
+    times their (k - i) m syndrome entries; n k counts the generator entries
+    read into the points, which are read only when n k is below the scans'
+    estimate (never at r = k, where that is n).  The least estimate runs,
+    the first listed on a tie, and BudgetExceeded names its path.  The
+    runner returns fold(support sizes) of each block as the consumer asks
+    for it, so min and sum hold one block at a time; the search makes one
+    block, [d_r].
     """
     q, k, n = code.field.q, code.k, code.n
     scan = n * gaussian_binomial(k, r, q)
@@ -631,10 +625,10 @@ def _plan(code: LinearCode, r: int, budget: int):
     if r == 1 and q <= PRODUCT_MAX_Q and n < 2**23:
         paths.append(("float32 products", scan, partial(_class_weights, code)))
     paths.append(("bit engine", scan, partial(_enumerate, code, r)))
-    if r > 1 and q**k < 2**40:
+    if r > 1 and q**k < 2**40 and n * k < scan:
         points, weight, zeros = _column_points(code)
         m = points.shape[1]
-        spans = SPAN_WEIGHT * sum(
+        spans = n * k + SPAN_WEIGHT * sum(
             min(comb(m, i), gaussian_binomial(k, i, q)) * (k - i) * m for i in range(k - r)
         )
         paths.append(("column-span search", spans,
@@ -706,7 +700,7 @@ def ghw(
     On the path that _plan estimates cheapest; every path is exact and
     sequential.  Ignores workers (the benchmark still passes it)."""
     if not 1 <= r <= code.k:
-        raise InvalidParams(f"need 1 <= r <= k = {code.k}, got {r}")
+        raise InputError(f"need 1 <= r <= k = {code.k}, got {r}")
     return _d(code, r, budget)
 
 
@@ -724,6 +718,4 @@ def eckardt_detect(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:
     d = min_distance(code, budget)
     if d in (eckardt, generic):
         return d == eckardt
-    raise UnexpectedDistance(
-        f"d = {d} is outside {{q^2+4q, q^2+4q+1}} = {{{eckardt}, {generic}}}"
-    )
+    raise InternalError(f"d = {d} is outside {{q^2+4q, q^2+4q+1}} = {{{eckardt}, {generic}}}")

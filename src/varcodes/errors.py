@@ -1,9 +1,15 @@
 """Exception hierarchy shared across the package.
 
-Three behavioural groups matter to callers (and fix the CLI exit codes):
-``InputError`` for rejected parameters, ``BudgetExceeded`` for enumerations
-whose estimated cost is over the configured cap, and ``InternalError`` for
-defensive checks that should be unreachable on correct inputs.
+Three groups matter to callers, and each fixes one CLI exit code:
+
+- ``InputError`` (exit 2): rejected parameters, descriptors, artifacts and
+  calculator inputs.  Its one subclass, ``OutOfTheoremRange``, is a closed
+  form asked for outside its range of validity, and names the hypothesis.
+- ``BudgetExceeded`` (exit 3): an estimated cost over the configured cap.
+- ``InternalError`` (exit 4): a broken invariant, unreachable on correct
+  code; ``invariant`` raises it, also under ``python -O``.
+
+A zero inverted in a field raises the built-in ``ZeroDivisionError``.
 """
 
 from __future__ import annotations
@@ -13,84 +19,12 @@ class InputError(ValueError):
     """Bad user-supplied parameters (CLI exit code 2)."""
 
 
-class NotPrime(InputError):
-    pass
-
-
-class DegreeZero(InputError):
-    pass
-
-
-class FieldTooLarge(InputError):
-    pass
-
-
-class NotQuadraticExtension(InputError):
-    pass
-
-
-class DivisionByZero(ZeroDivisionError):
-    pass
-
-
-class DimensionMismatch(InputError):
-    pass
-
-
-class ParityMismatch(InputError):
-    pass
-
-
-class NotQuadratic(InputError):
-    pass
-
-
-class InvalidAlpha(InputError):
-    pass
-
-
-class EmptyPolytope(InputError):
-    pass
-
-
-class EmptyPointSet(InputError):
-    pass
-
-
-class DegreeTooLarge(InputError):
-    pass
-
-
-class HypothesisViolated(InputError):
-    pass
-
-
-class HOutOfRange(InputError):
-    pass
-
-
-class HTooLarge(InputError):
-    pass
-
-
-class InvalidParams(InputError):
-    pass
-
-
 class OutOfTheoremRange(InputError):
     """A closed-form prediction was requested outside its range of validity."""
 
     def __init__(self, message: str, hypothesis: str | None = None):
         super().__init__(message)
         self.hypothesis = hypothesis
-
-
-class FieldTooSmall(InvalidParams, OutOfTheoremRange):
-    """q below a family's range, which its construction and theorem share."""
-
-
-class GeneralPositionFailure(InputError):
-    pass
 
 
 DEFAULT_BUDGET = 2**31  # elementary operations, or array entries, that one request may cost
@@ -125,11 +59,3 @@ def invariant(cond: bool, message: str) -> None:
     """Raise InternalError unless cond holds (unlike assert, kept under -O)."""
     if not cond:
         raise InternalError(message)
-
-
-class AmbiguousClassification(InternalError):
-    pass
-
-
-class UnexpectedDistance(InternalError):
-    pass

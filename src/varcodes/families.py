@@ -24,19 +24,7 @@ from functools import partial
 from typing import Any, Callable
 
 from . import bounds
-from .errors import (
-    DimensionMismatch,
-    EmptyPolytope,
-    FieldTooSmall,
-    InputError,
-    InternalError,
-    InvalidAlpha,
-    InvalidParams,
-    NotQuadratic,
-    NotQuadraticExtension,
-    OutOfTheoremRange,
-    ParityMismatch,
-)
+from .errors import InputError, InternalError, OutOfTheoremRange
 from .gf import GF, prime_power
 from .linalg import maximal_minors
 from .projgeom import Form, enumerate_projective_points, evaluate_forms
@@ -157,7 +145,7 @@ def is_kind(value, kind: str) -> bool:
 
 def require_kind(what: str, value, kind: str) -> None:
     if not is_kind(value, kind):
-        raise InvalidParams(f"{what} must be {kind}, got {value!r}")
+        raise InputError(f"{what} must be {kind}, got {value!r}")
 
 
 def require_fields(what: str, obj, kinds: dict, optional=frozenset()) -> None:
@@ -168,17 +156,17 @@ def require_fields(what: str, obj, kinds: dict, optional=frozenset()) -> None:
     require_kind(what, obj, "dict")
     unknown = sorted(set(obj) - set(kinds))
     if unknown:
-        raise InvalidParams(f"{what} has unknown keys {unknown}")
+        raise InputError(f"{what} has unknown keys {unknown}")
     for key, spec in kinds.items():
         if key not in obj:
             if key not in optional:
-                raise InvalidParams(f"{what} is missing {key!r}")
+                raise InputError(f"{what} is missing {key!r}")
             continue
         kind, lo, hi = spec if isinstance(spec, tuple) else (spec, None, None)
         require_kind(f"{what} {key!r}", obj[key], kind)
         if lo is not None and (obj[key] < lo or hi is not None and obj[key] > hi):
             limits = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-            raise InvalidParams(f"{what} {key!r} must be {limits}, got {obj[key]}")
+            raise InputError(f"{what} {key!r} must be {limits}, got {obj[key]}")
 
 
 def check_order(q) -> None:
@@ -193,7 +181,7 @@ def check_arguments(fn: Callable, params: dict) -> None:
     try:
         bound = sig.bind(**params)
     except TypeError as exc:
-        raise InvalidParams(f"{fn.__name__}: {exc}") from None
+        raise InputError(f"{fn.__name__}: {exc}") from None
     for name, value in bound.arguments.items():
         require_kind(f"{fn.__name__} parameter {name!r}", value, sig.parameters[name].annotation)
         if name == "q":
@@ -205,50 +193,50 @@ def check_arguments(fn: Callable, params: dict) -> None:
 
 def _check_quadric(p: Params, q: int) -> None:
     if "form" in p and p["form"]["degree"] != 2:
-        raise NotQuadratic("quadric descriptor form must have degree 2")
+        raise InputError("quadric descriptor form must have degree 2")
     if "form" in p and not any({tuple(e): c for e, c in p["form"]["terms"]}.values()):
-        raise NotQuadratic("quadric descriptor form has no nonzero term")
+        raise InputError("quadric descriptor form has no nonzero term")
     if ("m" in p) != ("w" in p) or not ("m" in p or "form" in p):
-        raise InvalidParams("a quadric descriptor needs both m and w, or a form")
+        raise InputError("a quadric descriptor needs both m and w, or a form")
     if "form" in p and "m" in p and p["m"] != p["form"]["ambient"]:
-        raise InvalidParams(f"m = {p['m']} is not the form's ambient {p['form']['ambient']}")
+        raise InputError(f"m = {p['m']} is not the form's ambient {p['form']['ambient']}")
     if "w" in p and (p["w"] == 1) != (p["m"] % 2 == 0):
-        raise ParityMismatch("parabolic quadrics need even m, the others odd m")
+        raise InputError("parabolic quadrics need even m, the others odd m")
 
 
 def _check_hermitian(p: Params, q: int) -> None:
     if q != p["r"] ** 2:
-        raise NotQuadraticExtension(f"GF({q}) is not GF({p['r']}^2)")
+        raise InputError(f"GF({q}) is not GF({p['r']}^2)")
 
 
 def _check_subspaces(p: Params, q: int) -> None:
     if p["l"] >= p["m"]:
-        raise InvalidParams(f"need 1 <= l < m, got l={p['l']}, m={p['m']}")
+        raise InputError(f"need 1 <= l < m, got l={p['l']}, m={p['m']}")
 
 
 def _check_schubert(p: Params, q: int) -> None:
     l, m, alpha = p["l"], p["m"], p["alpha"]
     if len(alpha) != l or not all(1 <= a <= b <= m for a, b in zip(alpha, alpha[1:] + [m])):
-        raise InvalidAlpha(f"need 1 <= a1 <= ... <= a{l} <= {m}, got {alpha}")
+        raise InputError(f"need 1 <= a1 <= ... <= a{l} <= {m}, got {alpha}")
     _check_subspaces(p, q)
 
 
 def _check_del_pezzo(p: Params, q: int) -> None:
     if q <= 4:
-        raise FieldTooSmall(f"need q > 4 for general position, got q = {q}", "q > 4")
+        raise OutOfTheoremRange(f"need q > 4 for general position, got q = {q}", hypothesis="q > 4")
 
 
 def _check_toric(p: Params, q: int) -> None:
     if not p["lattice_points"]:
-        raise EmptyPolytope("no lattice points supplied")
+        raise InputError("no lattice points supplied")
     if any(len(u) != p["s"] for u in p["lattice_points"]):
-        raise DimensionMismatch(f"every lattice point needs s = {p['s']} entries")
+        raise InputError(f"every lattice point needs s = {p['s']} entries")
 
 
 def _check_complete_intersection(p: Params, q: int) -> None:
     forms = p["forms"]
     if not forms or len(forms) != forms[0]["ambient"]:
-        raise InvalidParams("a complete intersection in P^m needs exactly m forms")
+        raise InputError("a complete intersection in P^m needs exactly m forms")
 
 
 # -- point sets, predictions and bounds ---------------------------------------------
@@ -301,7 +289,7 @@ def _quadric_character(p: Params, q: int) -> tuple[int, int]:
     """m and w of a quadric descriptor, which a form must agree with."""
     m, w = p["m"], p["w"]
     if "form" in p and classify_quadric(Form.from_dict(GF.from_order(q), p["form"])) != (m + 1, w):
-        raise InvalidParams(f"the form is not a nondegenerate quadric with m = {m}, w = {w}")
+        raise InputError(f"the form is not a nondegenerate quadric with m = {m}, w = {w}")
     return m, w
 
 
@@ -486,7 +474,7 @@ def check_descriptor(desc: VarietyDescriptor, h: int | None, q: int) -> Family:
     check_order(q)
     fam = FAMILIES.get(desc.family) if isinstance(desc.family, str) else None
     if fam is None:
-        raise InvalidParams(f"unknown variety family {desc.family!r}")
+        raise InputError(f"unknown variety family {desc.family!r}")
     require_fields(f"{desc.family} descriptor", desc.params, fam.params, fam.optional)
     if fam.check:
         fam.check(desc.params, q)
@@ -494,7 +482,7 @@ def check_descriptor(desc: VarietyDescriptor, h: int | None, q: int) -> Family:
         require_kind("h", h, "int")
         if h < 0 or (h != 1 and not fam.h_free):
             need = "h >= 0" if fam.h_free else f"h = 1 ({desc.family} fixes its own basis)"
-            raise InvalidParams(f"need {need}, got h = {h}")
+            raise InputError(f"need {need}, got h = {h}")
     return fam
 
 

@@ -40,15 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (
-    DegreeZero,
-    DivisionByZero,
-    FieldTooLarge,
-    InternalError,
-    InvalidParams,
-    NotPrime,
-    invariant,
-)
+from .errors import InputError, InternalError, invariant
 
 MAX_ORDER = 1 << 16
 ADD_TABLE_MAX = 256  # largest q with uint8 elements; odd q up to it get an add table
@@ -63,12 +55,12 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Exact primality without trial division past 41, so a huge n answers at once.
 
-    An n >= _MR_EXACT_BELOW that no base divides raises FieldTooLarge.
+    An n >= _MR_EXACT_BELOW that no base divides raises InputError.
     """
     if n < 2 or any(n % b == 0 for b in _MR_BASES):
         return n in _MR_BASES
     if n >= _MR_EXACT_BELOW:
-        raise FieldTooLarge(f"primality is only decided below {_MR_EXACT_BELOW}")
+        raise InputError(f"primality is only decided below {_MR_EXACT_BELOW}")
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     for b in _MR_BASES:
         x = pow(b, (n - 1) >> s, n)
@@ -78,7 +70,7 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e; NotPrime unless q is a prime power >= 2.
+    """(p, e) with q = p^e; InputError unless q is a prime power >= 2.
 
     Takes whole l-th roots for prime l = 2, 3, 5, ... while one can exist,
     then tests the last root for primality, so a huge q answers at once.
@@ -91,7 +83,7 @@ def prime_power(q: int) -> tuple[int, int]:
             l = next(n for n in range(l + 1, 2 * l + 1) if is_prime(n))
     if is_prime(p):
         return p, e
-    raise NotPrime(f"{q} is not a prime power")
+    raise InputError(f"{q} is not a prime power")
 
 
 def _iroot(q: int, e: int) -> int:
@@ -149,14 +141,14 @@ class GF:
 
     def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
-            raise NotPrime(f"characteristic {p} is not prime")
+            raise InputError(f"characteristic {p} is not prime")
         if e < 1:
-            raise DegreeZero(f"extension degree must be >= 1, got {e}")
+            raise InputError(f"extension degree must be >= 1, got {e}")
         if e >= MAX_ORDER.bit_length():  # 2^e > MAX_ORDER already; do not build p^e
-            raise FieldTooLarge(f"p^e = {p}^{e} exceeds the cap {MAX_ORDER}")
+            raise InputError(f"p^e = {p}^{e} exceeds the cap {MAX_ORDER}")
         q = p**e
         if q > MAX_ORDER:
-            raise FieldTooLarge(f"p^e = {q} exceeds the cap {MAX_ORDER}")
+            raise InputError(f"p^e = {q} exceeds the cap {MAX_ORDER}")
         self.p = p
         self.e = e
         self.q = q
@@ -252,7 +244,7 @@ class GF:
 
     def inv(self, a: int) -> int:
         if a == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
+            raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.exp[(-self.log[a]) % (self.q - 1)]
 
     def pow(self, a: int, n: int) -> int:
@@ -260,7 +252,7 @@ class GF:
             if n == 0:
                 return 1
             if n < 0:
-                raise DivisionByZero("0 has no negative powers")
+                raise ZeroDivisionError("0 has no negative powers")
             return 0
         return self.exp[(self.log[a] * n) % (self.q - 1)]
 
@@ -397,11 +389,9 @@ class GF:
     def from_dict(cls, d: dict) -> "GF":
         fld = field(int(d["p"]), int(d["e"]))
         if "modulus" in d and tuple(d["modulus"]) != fld.modulus:
-            raise InvalidParams(
-                f"stored modulus {d['modulus']} is not the canonical one"
-            )
+            raise InputError(f"stored modulus {d['modulus']} is not the canonical one")
         if "q" in d and d["q"] != fld.q:
-            raise InvalidParams(f"stored q = {d['q']} is not p^e = {fld.q}")
+            raise InputError(f"stored q = {d['q']} is not p^e = {fld.q}")
         return fld
 
     @classmethod

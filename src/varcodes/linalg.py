@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import InputError
 from .gf import GF
 
 
@@ -37,7 +37,7 @@ class Matrix:
         if isinstance(self.rows, np.ndarray):
             return
         if len({len(r) for r in self.rows}) > 1:
-            raise DimensionMismatch("ragged rows")
+            raise InputError("ragged rows")
         ncols = len(self.rows[0]) if self.rows else 0
         self.rows = np.array(self.rows, self.field.array_ops().dtype).reshape(len(self.rows), ncols)
 
@@ -133,7 +133,7 @@ def det(M: Matrix) -> int:
     F = M.field
     n = M.nrows
     if n != M.ncols:
-        raise DimensionMismatch("determinant of a non-square matrix")
+        raise InputError("determinant of a non-square matrix")
     A = M.rows.tolist()
     d = 1
     for col in range(n):
@@ -162,7 +162,7 @@ def maximal_minors(F: GF, stack: np.ndarray) -> np.ndarray:
     """
     N, l, m = stack.shape
     if l > m:
-        raise DimensionMismatch(f"need nrows <= ncols, got {l} x {m}")
+        raise InputError(f"need nrows <= ncols, got {l} x {m}")
     ops = F.array_ops()
     minors = np.ones((N, 1), ops.dtype)
     index = {(): 0}

@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, check_budget
+from .errors import InputError, check_budget
 from .gf import GF
 
 Exponents = tuple[int, ...]
@@ -34,7 +34,7 @@ def enumerate_projective_points(
     entries.
     """
     if m < 1:
-        raise InvalidParams(f"ambient dimension must be >= 1, got {m}")
+        raise InputError(f"ambient dimension must be >= 1, got {m}")
     q, dtype = fld.q, fld.array_ops().dtype
     rows = q**m if affine_only else (q ** (m + 1) - 1) // (q - 1)
     check_budget(
@@ -55,7 +55,7 @@ def canonicalize(fld: GF, v) -> tuple[int, ...]:
     """Scale a nonzero vector so its first nonzero coordinate is 1."""
     lead = next((x for x in v if x != 0), None)
     if lead is None:
-        raise InvalidParams("cannot canonicalize the zero vector")
+        raise InputError("cannot canonicalize the zero vector")
     if lead == 1:
         return tuple(v)
     inv = fld.inv(lead)
@@ -70,7 +70,7 @@ def enumerate_monomials(m: int, h: int) -> list[Exponents]:
     over DEFAULT_BUDGET entries.
     """
     if m < 0 or h < 0:
-        raise InvalidParams("need m >= 0 and h >= 0")
+        raise InputError("need m >= 0 and h >= 0")
     what = f"enumerating the degree-{h} monomials in x0..x{m}"
     check_budget(comb(m + h, h) * (m + 1), what, unit="array entries")
 
@@ -113,15 +113,13 @@ class Form:
         for expo, c in self.terms.items():
             expo = tuple(expo)
             if len(expo) != self.ambient + 1:
-                raise DimensionMismatch(
-                    f"exponent vector {expo} does not have {self.ambient + 1} entries"
-                )
+                raise InputError(f"exponent vector {expo} does not have {self.ambient + 1} entries")
             if sum(expo) != self.degree:
-                raise InvalidParams(
+                raise InputError(
                     f"term {expo} has degree {sum(expo)}, form has degree {self.degree}"
                 )
             if not 0 <= c < self.field.q:
-                raise InvalidParams(f"coefficient {c} is not an element index")
+                raise InputError(f"coefficient {c} is not an element index")
             if c != 0:
                 clean[expo] = c
         self.terms = clean
@@ -207,9 +205,7 @@ def evaluate_forms(forms: list[Form], points) -> np.ndarray:
     out = np.zeros((len(forms), len(x)), ops.dtype)
     for f in forms:
         if x.shape[1] != f.ambient + 1:
-            raise DimensionMismatch(
-                f"point has {x.shape[1]} coordinates, form expects {f.ambient + 1}"
-            )
+            raise InputError(f"point has {x.shape[1]} coordinates, form expects {f.ambient + 1}")
     rows = [i for i, f in enumerate(forms) if f.terms]
     if not rows:
         return out

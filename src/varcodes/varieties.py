@@ -30,16 +30,7 @@ from typing import Any
 import numpy as np
 
 from . import bounds
-from .errors import (
-    AmbiguousClassification,
-    DimensionMismatch,
-    GeneralPositionFailure,
-    InternalError,
-    InvalidParams,
-    NotQuadratic,
-    check_budget,
-    invariant,
-)
+from .errors import InputError, InternalError, check_budget, invariant
 from .gf import GF
 from .linalg import Matrix, det, maximal_minors, pivot_patterns, rank_and_kernel
 from .projgeom import (
@@ -74,7 +65,7 @@ class PointSet:
 
     def __post_init__(self):
         if len(self.labels) != len(self.points):
-            raise DimensionMismatch("labels and points must have equal length")
+            raise InputError("labels and points must have equal length")
 
     def to_dict(self) -> dict:
         return {
@@ -99,12 +90,12 @@ class VarietyDescriptor:
     @classmethod
     def from_dict(cls, d: dict) -> "VarietyDescriptor":
         if not isinstance(d, dict):
-            raise InvalidParams(f"a descriptor must be a JSON object, got {d!r}")
+            raise InputError(f"a descriptor must be a JSON object, got {d!r}")
         d = dict(d)
         try:
             family = d.pop("family")
         except KeyError:
-            raise InvalidParams("descriptor needs a 'family' key") from None
+            raise InputError("descriptor needs a 'family' key") from None
         return cls(family, d)
 
     def label(self) -> str:
@@ -181,7 +172,7 @@ def classify_quadric(f: Form) -> tuple[int, int]:
     cone counts, with a defensive uniqueness check.
     """
     if f.degree != 2 or f.is_zero():
-        raise NotQuadratic("classification needs a nonzero quadratic form")
+        raise InputError("classification needs a nonzero quadratic form")
     fld = f.field
     m = f.ambient
     rho = _quadric_rank(f)
@@ -193,9 +184,7 @@ def classify_quadric(f: Form) -> tuple[int, int]:
         if bounds.quadric_count(m, w, fld.q, rho) == measured
     ]
     if len(matches) != 1:
-        raise AmbiguousClassification(
-            f"rank {rho}, {measured} points matches characters {matches}"
-        )
+        raise InternalError(f"rank {rho}, {measured} points matches characters {matches}")
     return rho, matches[0]
 
 
@@ -354,9 +343,7 @@ def _general_position_select(l: int, fld: GF) -> list[int]:
         exists = search(0, reduce(or_, (line_through(a, b) for a, b in combinations(chosen, 2))))
         chosen.clear()
     if not (exists and search(0, 0)):
-        raise GeneralPositionFailure(
-            f"no {l} points of P^2(F_{fld.q}) in general position found"
-        )
+        raise InputError(f"no {l} points of P^2(F_{fld.q}) in general position found")
     return chosen
 
 

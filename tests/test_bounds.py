@@ -8,13 +8,10 @@ import pytest
 
 from varcodes import bounds
 from varcodes.bounds import _ceil_frac_minus_sqrt
-from varcodes.errors import (
-    DegreeTooLarge,
-    HOutOfRange,
-    HTooLarge,
-    HypothesisViolated,
-    InvalidParams,
-)
+from varcodes.codes import code_from_descriptor, min_distance
+from varcodes.errors import InputError
+from varcodes.gf import GF
+from varcodes.varieties import VarietyDescriptor
 
 
 def test_sigma():
@@ -52,16 +49,16 @@ def test_elementary_bound():
     assert bounds.elementary_bound(45, 3, 2, 4).value == 30
     # hyperplane case: s = 1
     assert bounds.elementary_bound(100, 1, 3, 3).value == 100 - 13
-    with pytest.raises(DegreeTooLarge):
+    with pytest.raises(InputError, match="degree 5 is not <"):
         bounds.elementary_bound(45, 5, 2, 4)
 
 
 def test_covering_family_bound():
     assert bounds.covering_family_bound(16, 4, 4, 1, 1).value == 9
     assert bounds.covering_family_bound(16, 4, 4, 0, 0).value == 16
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(InputError, match="need 0 <= l <= a"):
         bounds.covering_family_bound(16, 4, 4, 1, 5)
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(InputError, match="need 0 <= eta <= N"):
         bounds.covering_family_bound(16, 4, 4, 5, 1)
 
 
@@ -72,9 +69,9 @@ def test_cayley_bacharach_values():
     assert rep.notes  # hypothesis note present
     # endpoint h = s gives 2
     assert bounds.cayley_bacharach_bound([3, 3], 3).value["cayley_bacharach"] == 2
-    with pytest.raises(HOutOfRange):
+    with pytest.raises(InputError, match="need 1 <= h <= s = 3, got h=4"):
         bounds.cayley_bacharach_bound([3, 3], 4)
-    with pytest.raises(HOutOfRange):
+    with pytest.raises(InputError, match="need 1 <= h <= s = 3, got h=0"):
         bounds.cayley_bacharach_bound([3, 3], 0)
 
 
@@ -156,7 +153,7 @@ def test_griesmer_min_n_consistency():
         d = bounds.griesmer(n, k, q).value
         assert bounds.griesmer(d, k, q, mode="min_n").value <= n
         assert bounds.griesmer(d + 1, k, q, mode="min_n").value > n
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match="unknown mode 'nonsense'"):
         bounds.griesmer(7, 3, 2, mode="nonsense")
 
 
@@ -195,7 +192,7 @@ def test_sorensen_bound():
 def test_hermitian_ch_bound():
     assert bounds.hermitian_ch_bound(45, 1, 2).value == 30
     assert bounds.hermitian_ch_bound(45, 2, 2).value == 15
-    with pytest.raises(HTooLarge):
+    with pytest.raises(InputError, match="need h < r"):
         bounds.hermitian_ch_bound(45, 3, 2)
 
 
@@ -203,9 +200,9 @@ def test_ruled_surface_bound():
     assert bounds.ruled_surface_bound(5, 2, 1, 2, 0).value == {"n": 15, "d_lower": 6}
     v = bounds.ruled_surface_bound(5, 2, 0, 0, 0).value
     assert v["d_lower"] == v["n"]
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(InputError, match="need b2 < a"):
         bounds.ruled_surface_bound(5, 2, 1, 5, 0)
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(InputError, match="need invariant e >= 0"):
         bounds.ruled_surface_bound(5, 2, 1, 2, -1)
 
 
@@ -213,8 +210,25 @@ def test_dl_a24_params():
     v = bounds.dl_a24_params(2, 1).value
     assert v == {"n": 1485, "k": 5, "d_lower": 1080}
     assert bounds.dl_a24_params(2, 4).value["k"] == 65
-    with pytest.raises(HOutOfRange):
+    with pytest.raises(InputError, match="need 1 <= h <= q"):
         bounds.dl_a24_params(2, 5)
+
+
+@pytest.mark.parametrize(
+    "q,ks,d", [(2, [5, 15, 34, 65], 120), (3, [5, 15, 35, 69], 2160)], ids=["q=2", "q=3"]
+)
+def test_dl_a24_params_are_the_hermitian_threefold_times_q3_plus_1(q, ks, d):
+    # Measured on the Hermitian threefold of P^4 over GF(q^2): the calculator's
+    # n and its h = 1 d_lower are q^3 + 1 times the threefold code's n and d,
+    # and its k is the threefold code's k.
+    threefold = VarietyDescriptor("hermitian", {"m": 4, "r": q})
+    codes = [code_from_descriptor(threefold, h, GF.from_order(q * q)) for h in range(1, 5)]
+    assert [c.k for c in codes] == ks
+    for h, code in enumerate(codes, 1):
+        value = bounds.dl_a24_params(q, h).value
+        assert (value["n"], value["k"]) == ((q**3 + 1) * code.n, code.k)
+    assert min_distance(codes[0]) == d
+    assert bounds.dl_a24_params(q, 1).value["d_lower"] == (q**3 + 1) * d
 
 
 def test_counts_dispatch():
@@ -225,16 +239,16 @@ def test_counts_dispatch():
     assert bounds.counts("hermitian", m=3, r=2).value == 45
     assert bounds.counts("flag", m=3, q=2).value == 21
     assert bounds.counts("projective_space", m=2, q=2).value == 7
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match="unknown count family"):
         bounds.counts("nonsense")
 
 
 def test_quadric_count_validation():
-    with pytest.raises(InvalidParams):
-        bounds.quadric_count(3, 2, 2, rho=3)  # even character needs even rank
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match="characters 0 and 2 need even rank"):
+        bounds.quadric_count(3, 2, 2, rho=3)
+    with pytest.raises(InputError, match="needs odd rank"):
         bounds.quadric_count(3, 1, 2, rho=4)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match="character must be 0, 1 or 2"):
         bounds.quadric_count(3, 3, 2)
 
 

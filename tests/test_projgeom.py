@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from varcodes import projgeom
 from varcodes.bounds import sigma
-from varcodes.errors import BudgetExceeded, DimensionMismatch
+from varcodes.errors import BudgetExceeded, InputError
 from varcodes.gf import GF
 from varcodes.projgeom import (
     Form,
@@ -92,7 +92,7 @@ def test_evaluate_hyperbolic_vertex():
 def test_evaluate_dimension_mismatch():
     F = GF(2)
     f = Form.from_coeff_vector(F, enumerate_monomials(1, 1), (1, 0))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match="point has 3 coordinates, form expects 2"):
         evaluate_forms([f], [(1, 0, 0)])
 
 

@@ -5,15 +5,17 @@ raise InternalError (exit code 4), also under python -O.
 """
 
 import json
+import re
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
-from varcodes import cli
+from varcodes import bounds, cli
 from varcodes.codes import LinearCode, code_from_descriptor
-from varcodes.errors import DimensionMismatch, InternalError, InvalidParams
+from varcodes.errors import InputError, InternalError
 from varcodes.gf import GF, field
 from varcodes.varieties import VarietyDescriptor
 
@@ -132,6 +134,111 @@ def test_projective_space_size_of_a_large_m_is_refused_at_once(capsys, argv):
     assert time.perf_counter() - start < 1
 
 
+HYPERBOLIC_P3 = '{"ambient":3,"degree":2,"terms":[[[1,1,0,0],1],[[0,0,1,1],1]]}'
+NO_ROOTS_P1 = '{"ambient":1,"degree":2,"terms":[[[2,0],1],[[0,2],1]]}'  # x^2 + 1 over GF(3)
+DEL_PEZZO_ROWS = (
+    '[{"descriptor":{"family":"del_pezzo","l":6},"q":5},'
+    '{"descriptor":{"family":"del_pezzo","l":2},"q":4}]'
+)
+
+
+@pytest.mark.parametrize(
+    "argv,stderr",
+    [
+        (["field", "6"], "input error: characteristic 6 is not prime"),
+        (["field", "2", "0"], "input error: extension degree must be >= 1, got 0"),
+        (["field", "2", "17"], "input error: p^e = 2^17 exceeds the cap 65536"),
+        (["field", "10000000000000000000000013"],
+         "input error: primality is only decided below 3317044064679887385961981"),
+        (["build", '{"family":"nonsense"}', "--q", "2"],
+         "input error: unknown variety family 'nonsense'"),
+        (["build", '{"family":"hermitian","m":2,"r":2}', "--q", "5"],
+         "input error: GF(5) is not GF(2^2)"),
+        (["build", '{"family":"toric","s":2,"lattice_points":[[1]]}', "--q", "4"],
+         "input error: every lattice point needs s = 2 entries"),
+        (["build", '{"family":"quadric","m":2,"w":2}', "--q", "3"],
+         "input error: parabolic quadrics need even m, the others odd m"),
+        (["build", '{"family":"quadric","form":{"ambient":2,"degree":3,"terms":[[[3,0,0],1]]}}',
+          "--q", "3"], "input error: quadric descriptor form must have degree 2"),
+        (["build", '{"family":"schubert","l":2,"m":5,"alpha":[4,2]}', "--q", "2"],
+         "input error: need 1 <= a1 <= ... <= a2 <= 5, got [4, 2]"),
+        (["build", '{"family":"toric","s":1,"lattice_points":[]}', "--q", "4"],
+         "input error: no lattice points supplied"),
+        (["build", '{"family":"complete_intersection","forms":[%s]}' % NO_ROOTS_P1, "--q", "3"],
+         "input error: no evaluation points"),
+        (["bound", "elementary", '{"n":45,"s":5,"delta":2,"q":4}'],
+         "input error: degree 5 is not < q + 1 = 5"),
+        (["bound", "covering-family", '{"n_points":10,"a":3,"N":2,"eta":5,"l":1}'],
+         "input error: need 0 <= eta <= N, got eta=5, N=2"),
+        (["bound", "cayley-bacharach", '{"degrees":[3,3],"h":4}'],
+         "input error: need 1 <= h <= s = 3, got h=4"),
+        (["bound", "dl-a24", '{"q":2,"h":5}'], "input error: need 1 <= h <= q^2 = 4, got 5"),
+        (["bound", "hermitian-ch", '{"n":45,"h":3,"r":2}'],
+         "input error: need h < r + 1 = 3, got 3"),
+        (["build", '{"family":"del_pezzo","l":6}', "--q", "5"],
+         "input error: no 6 points of P^2(F_5) in general position found"),
+        (["build", '{"family":"del_pezzo","l":2}', "--q", "4"],
+         "input error: need q > 4 for general position, got q = 4"),
+        (["predict", '{"family":"del_pezzo","l":2}', "--q", "4"],
+         "input error: need q > 4 for general position, got q = 4"),
+        (["analyze", "{ragged}"], "input error: ragged rows"),
+        # Equal counts for both characters of an even rank break the
+        # classification's uniqueness invariant.
+        (["predict", '{"family":"quadric","m":3,"w":2,"form":%s}' % HYPERBOLIC_P3, "--q", "3"],
+         "internal invariant failure: rank 4, 16 points matches characters [0, 2]"),
+    ],
+)
+def test_refusals_keep_their_exit_code_and_message(tmp_path, monkeypatch, capsys, argv, stderr):
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({
+        "format_version": 1, "field": {"p": 2, "e": 1}, "n": 2, "k": 2,
+        "generator": [[1, 0], [1]], "point_labels": ["a", "b"], "basis_labels": ["x", "y"],
+    }))
+    argv = [a.replace("{ragged}", str(ragged)) for a in argv]
+    if stderr.startswith("internal"):
+        monkeypatch.setattr(bounds, "quadric_count", lambda m, w, q, rho=None: 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the empty complete intersection also warns
+        rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (4 if stderr.startswith("internal") else 2, "", stderr + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv,stdout",
+    [
+        (["compare", DEL_PEZZO_ROWS, "--format", "json"], (
+            '[\n  {\n    "error": "no 6 points of P^2(F_5) in general position found",\n'
+            '    "family": "{\'family\': \'del_pezzo\', \'l\': 6}"\n  },\n'
+            '  {\n    "error": "need q > 4 for general position, got q = 4",\n'
+            '    "family": "{\'family\': \'del_pezzo\', \'l\': 2}"\n  }\n]\n'
+        )),
+        (["compare", DEL_PEZZO_ROWS, "--format", "csv"], (
+            "family,q,h,n,k,d,d_predicted,d_status,griesmer_max_d,singleton,"
+            "attains_griesmer,lower_bounds\n"
+            "{'family': 'del_pezzo', 'l': 6},,,,,,,,,,,\n"
+            "{'family': 'del_pezzo', 'l': 2},,,,,,,,,,,\n"
+        )),
+        (["compare", DEL_PEZZO_ROWS, "--format", "table"], (
+            "family  q  h  n  k  d  d_predicted  d_status  griesmer_max_d  singleton  "
+            "attains_griesmer  lower_bounds\n"
+            "{'family': 'del_pezzo', 'l': 6}: ERROR no 6 points of P^2(F_5) in general "
+            "position found\n"
+            "{'family': 'del_pezzo', 'l': 2}: ERROR need q > 4 for general position, got q = 4\n"
+        )),
+        (["compare", '[{"descriptor":{"family":"projective_space","m":2},"q":2}]',
+          "--budget", "10"], (
+            "family  q  h  n  k  d  d_predicted  d_status  griesmer_max_d  singleton  "
+            "attains_griesmer  lower_bounds\n"
+            "{'family': 'projective_space', 'm': 2}: ERROR the float32 products at r = 1 "
+            "needs ~49 elementary operations, budget is 10\n"
+        )),
+    ],
+    ids=["json", "csv", "table", "over-budget"],
+)
+def test_compare_error_rows_keep_their_text(capsys, argv, stdout):
+    assert run(capsys, *argv) == (0, stdout, "")
+
+
 def test_predict_rejects_what_build_rejects(capsys):
     desc = '{"family":"projective_space","m":0}'
     assert run(capsys, "build", desc, "--q", "4")[0] == 2
@@ -163,28 +270,28 @@ def _artifact(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize(
-    "edit,error",
+    "edit,message",
     [
-        (lambda d: d["point_labels"].pop(), InvalidParams),
-        (lambda d: d.update(n=999, k=1), InvalidParams),
-        (lambda d: d.pop("generator"), InvalidParams),
-        (lambda d: d["generator"].append(d["generator"][0]), InvalidParams),
-        (lambda d: d.update(generator=[]), InvalidParams),
-        (lambda d: d.update(field={"p": "2", "e": 2}), InvalidParams),
-        (lambda d: d["field"].update(q=16), InvalidParams),
-        (lambda d: d.update(point_labels=[0] * d["n"]), InvalidParams),
-        (lambda d: d["generator"][-1].__setitem__(-1, 4), InvalidParams),  # GF(4): 0..3
+        (lambda d: d["point_labels"].pop(), "and 20 point labels"),
+        (lambda d: d.update(n=999, k=1), "artifact says k=1, n=999"),
+        (lambda d: d.pop("generator"), "artifact is missing 'generator'"),
+        (lambda d: d["generator"].append(d["generator"][0]), "has a 4 x 21 generator"),
+        (lambda d: d.update(generator=[]), "has a 0 x 0 generator"),
+        (lambda d: d.update(field={"p": "2", "e": 2}), "artifact field 'p' must be int"),
+        (lambda d: d["field"].update(q=16), "stored q = 16 is not p^e = 4"),
+        (lambda d: d.update(point_labels=[0] * d["n"]), "'point_labels' must be list[str]"),
+        (lambda d: d["generator"][-1].__setitem__(-1, 4), "outside GF(4)"),  # GF(4): 0..3
         # Entries past the uint8 index dtype, or no array dtype at all.
-        (lambda d: d["generator"][0].__setitem__(0, 256), InvalidParams),
-        (lambda d: d["generator"][0].__setitem__(0, -1), InvalidParams),
-        (lambda d: d["generator"][0].__setitem__(0, 2**70), InvalidParams),
+        (lambda d: d["generator"][0].__setitem__(0, 256), "outside GF(4)"),
+        (lambda d: d["generator"][0].__setitem__(0, -1), "outside GF(4)"),
+        (lambda d: d["generator"][0].__setitem__(0, 2**70), "outside GF(4)"),
         # Entries and rows of another JSON type.
-        (lambda d: d["generator"][0].__setitem__(0, True), InvalidParams),
-        (lambda d: d["generator"][0].__setitem__(0, 1.0), InvalidParams),
-        (lambda d: d["generator"][0].__setitem__(0, "1"), InvalidParams),
-        (lambda d: d["generator"].__setitem__(0, "1,0,0"), InvalidParams),
-        (lambda d: d["generator"][0].pop(), DimensionMismatch),
-        (lambda d: d["generator"].__setitem__(-1, []), DimensionMismatch),
+        (lambda d: d["generator"][0].__setitem__(0, True), "must be list[list[int]]"),
+        (lambda d: d["generator"][0].__setitem__(0, 1.0), "must be list[list[int]]"),
+        (lambda d: d["generator"][0].__setitem__(0, "1"), "must be list[list[int]]"),
+        (lambda d: d["generator"].__setitem__(0, "1,0,0"), "must be list[list[int]]"),
+        (lambda d: d["generator"][0].pop(), "ragged rows"),
+        (lambda d: d["generator"].__setitem__(-1, []), "ragged rows"),
     ],
     ids=[
         "labels", "n-k", "no-generator", "rank", "empty", "field", "field-q", "label-kind",
@@ -192,12 +299,12 @@ def _artifact(tmp_path, capsys, edit):
         "entry-bool", "entry-float", "entry-str", "row-str", "ragged", "empty-row",
     ],
 )
-def test_inconsistent_artifacts_rejected(tmp_path, capsys, edit, error):
+def test_inconsistent_artifacts_rejected(tmp_path, capsys, edit, message):
     data, path = _artifact(tmp_path, capsys, edit)
-    with pytest.raises(error):
+    with pytest.raises(InputError, match=re.escape(message)):
         LinearCode.from_dict(data)
     rc, _, err = run(capsys, "analyze", str(path))
-    assert rc == 2 and "input error" in err
+    assert rc == 2 and err.startswith("input error") and message in err
 
 
 def test_ghw_task_needs_an_integer_rank(tmp_path, capsys):
@@ -211,7 +318,7 @@ def test_fixed_basis_families_refuse_other_degrees():
         VarietyDescriptor("p1xp1", {"alpha": 1, "beta": 1}),
         VarietyDescriptor("toric", {"s": 1, "lattice_points": [[0], [1]]}),
     ):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InputError, match="fixes its own basis"):
             code_from_descriptor(desc, 2, GF(3))
 
 

@@ -7,17 +7,7 @@ import numpy as np
 import pytest
 
 from varcodes import bounds, varieties
-from varcodes.errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    EmptyPolytope,
-    GeneralPositionFailure,
-    InvalidAlpha,
-    InvalidParams,
-    NotQuadratic,
-    NotQuadraticExtension,
-    ParityMismatch,
-)
+from varcodes.errors import BudgetExceeded, InputError, OutOfTheoremRange
 from varcodes.families import build_point_set, check_descriptor
 from varcodes.gf import GF
 from varcodes.linalg import Matrix, maximal_minors, pivot_patterns, rank
@@ -95,9 +85,9 @@ def test_irreducible_binary_quadratic_coeff_by_search():
 
 
 def test_normal_form_parity_mismatch():
-    with pytest.raises(ParityMismatch):
+    with pytest.raises(InputError, match="parabolic quadrics need even m"):
         check_descriptor(VarietyDescriptor("quadric", {"m": 2, "w": 2}), 1, 2)
-    with pytest.raises(ParityMismatch):
+    with pytest.raises(InputError, match="parabolic quadrics need even m"):
         check_descriptor(VarietyDescriptor("quadric", {"m": 3, "w": 1}), 1, 2)
 
 
@@ -120,7 +110,7 @@ def test_classify_double_hyperplane():
 
 
 def test_classify_rejects_non_quadratic():
-    with pytest.raises(NotQuadratic):
+    with pytest.raises(InputError, match="needs a nonzero quadratic form"):
         classify_quadric(Form.from_coeff_vector(F2, enumerate_monomials(2, 1), (1, 0, 0)))
 
 
@@ -156,7 +146,7 @@ def test_degenerate_quadric_counts_match_cone_formula(q):
 
 
 def test_hermitian_form_needs_square_field():
-    with pytest.raises(NotQuadraticExtension):
+    with pytest.raises(InputError, match="is not GF"):
         check_descriptor(VarietyDescriptor("hermitian", {"m": 2, "r": 2}), 1, 3)
 
 
@@ -350,7 +340,7 @@ def test_schubert_points_match_rank_condition(l, m, q):
 def test_schubert_invalid_alpha():
     for alpha in ([4, 3], [0, 4]):
         desc = VarietyDescriptor("schubert", {"l": 2, "m": 4, "alpha": alpha})
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(InputError, match="need 1 <= a1 <= ... <= a2 <= 4"):
             check_descriptor(desc, 1, 2)
 
 
@@ -452,7 +442,7 @@ def test_delpezzo_counts_and_separation(l, fld):
 def test_delpezzo_six_points_impossible_over_gf5():
     # Every 6-arc of PG(2,5) lies on a conic (it is an oval, hence a conic),
     # so the no-conic condition is unsatisfiable and the search must fail.
-    with pytest.raises(GeneralPositionFailure) as exc:
+    with pytest.raises(InputError) as exc:
         delpezzo_points(6, F5)
     assert str(exc.value) == "no 6 points of P^2(F_5) in general position found"
 
@@ -467,8 +457,8 @@ def test_six_point_search_decides_on_the_frame(fld, monkeypatch):
     monkeypatch.setattr(varieties, "det", lambda M: calls.append(1) or det(M))
     try:
         base = varieties._general_position_select(6, fld)
-    except GeneralPositionFailure:
-        assert fld.q == 5
+    except InputError as exc:
+        assert fld.q == 5 and "general position" in str(exc)
     else:
         assert len(base) == 6
     assert 0 < len(calls) <= 10
@@ -482,8 +472,9 @@ def test_delpezzo_six_points_exist_over_gf7():
 
 
 def test_delpezzo_small_field_rejected():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(OutOfTheoremRange, match="need q > 4 for general position") as exc:
         check_descriptor(VarietyDescriptor("del_pezzo", {"l": 1}), 1, 4)
+    assert exc.value.hypothesis == "q > 4"
 
 
 # -- toric, complete intersections, products ----------------------------------------
@@ -509,9 +500,9 @@ def test_toric_exponent_reduction():
     # exponents live mod q - 1 on the torus
     basis, _ = toric_basis([(5,)], F4)
     assert basis[0].degree == 5 % 3
-    with pytest.raises(EmptyPolytope):
+    with pytest.raises(InputError, match="no lattice points supplied"):
         check_descriptor(VarietyDescriptor("toric", {"s": 1, "lattice_points": []}), 1, 4)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match="every lattice point needs s = 2 entries"):
         check_descriptor(VarietyDescriptor("toric", {"s": 2, "lattice_points": [[1]]}), 1, 4)
 
 
@@ -566,7 +557,7 @@ def test_build_point_set_dispatch():
     assert len(build_point_set(VarietyDescriptor("hermitian", {"m": 2, "r": 2}), F4)) == 9
     p1xp1 = VarietyDescriptor("p1xp1", {"alpha": 1, "beta": 1})
     assert len(build_point_set(p1xp1, F3)) == 16
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match="unknown variety family 'nonsense'"):
         build_point_set(VarietyDescriptor("nonsense", {}), F2)
 
 
