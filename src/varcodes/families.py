@@ -235,7 +235,7 @@ def _check_toric(p: Params, q: int) -> None:
 
 def _check_complete_intersection(p: Params, q: int) -> None:
     forms = p["forms"]
-    if not forms or len(forms) != forms[0]["ambient"]:
+    if not forms or any(f["ambient"] != len(forms) for f in forms):
         raise InputError("a complete intersection in P^m needs exactly m forms")
 
 

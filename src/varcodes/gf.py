@@ -6,7 +6,7 @@ additive identity.  This module is the only one that knows the encoding:
 the rest of the package goes through the scalar operations of GF, or through
 GF.array_ops on numpy arrays of indices: elementwise add, neg, mul and pow,
 the scalar multiples of a vector, the values of many monomial terms at many
-points, the sums of runs of rows, and the decimal text of every index.
+points, and the decimal text of every index.
 
 Each field builds its tables once, at construction.  Multiplication,
 inversion and powers go through generator-power (exp/log) tables.  Addition
@@ -275,9 +275,6 @@ class GF:
           terms(x, expos, coeffs): the value of c_t * prod_i x_i^E[t, i] at
             every row of the (N, m + 1) array x, as a (T, N) array, for the
             (T, m + 1) exponent matrix E and the T coefficients c;
-          add_runs(a, starts): the sums of the runs of rows of a that begin
-            at the strictly increasing row indices starts (the last run ends
-            at the last row), one row per run, like np.add.reduceat;
         and text, the read-only object array of str(i) for every index i, so
         text[a] is the decimal text of an index array a without a str() call
         per entry.
@@ -346,32 +343,11 @@ class GF:
             logs = np.minimum(lhs.astype(real) @ rhs.astype(real), zero).astype(np.intp)
             return np.where(logs < zero, exp[logs % (q - 1)], 0).astype(dtype)
 
-        if self.p == 2:
-
-            def add_runs(a, starts):
-                if len(starts) == len(a):  # every run is one row
-                    return a
-                return np.bitwise_xor.reduceat(a, starts, axis=0)
-
-        else:
-            # An index is the base-p integer of its digits: sum each digit mod p.
-            p, e = self.p, self.e
-            digits = [np.arange(q, dtype=dtype) // p**i % p for i in range(e)]
-
-            def add_runs(a, starts):
-                if len(starts) == len(a):
-                    return a
-                out = np.zeros((len(starts),) + a.shape[1:], dtype)
-                for i, digit in enumerate(digits):
-                    sums = np.add.reduceat(digit.take(a), starts, axis=0, dtype=np.int64)
-                    out += (sums % p * p**i).astype(dtype)
-                return out
-
         text = np.array([str(i) for i in range(q)], object)
         text.flags.writeable = False
         return SimpleNamespace(
             dtype=dtype, add=add, neg=neg, mul=mul, pow=pow, multiples=multiples,
-            terms=terms, add_runs=add_runs, text=text,
+            terms=terms, text=text,
         )
 
     # -- enumeration & serialization ------------------------------------------

@@ -11,6 +11,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -143,19 +144,17 @@ class Form:
         return not self.terms
 
     def partial(self, i: int) -> "Form":
-        """Formal partial derivative with respect to x_i (degree drops by 1)."""
+        """Formal partial derivative with respect to x_i (degree drops by 1).
+
+        Lowering x_i's exponent keeps distinct terms distinct, so no two
+        terms merge; terms whose exponent of x_i is 0 mod p vanish.
+        """
         F = self.field
-        terms: dict[Exponents, int] = {}
-        for expo, c in self.terms.items():
-            if expo[i] == 0:
-                continue
-            coeff = F.mul(c, F.scalar(expo[i]))
-            if coeff == 0:
-                continue
-            new = list(expo)
-            new[i] -= 1
-            key = tuple(new)
-            terms[key] = F.add(terms.get(key, 0), coeff)
+        terms = {
+            expo[:i] + (expo[i] - 1,) + expo[i + 1 :]: F.mul(c, F.scalar(expo[i]))
+            for expo, c in self.terms.items()
+            if expo[i] % F.p
+        }
         return Form(F, self.ambient, max(self.degree - 1, 0), terms)
 
     def __str__(self) -> str:
@@ -194,27 +193,29 @@ def evaluate_forms(forms: list[Form], points) -> np.ndarray:
     """Values of every form at every point, as a (forms, points) index array.
 
     points is an (N, ambient + 1) index array, or a list of coordinate
-    tuples that np.asarray turns into one.  The terms of all forms are the
-    rows of one exponent matrix: GF.array_ops.terms evaluates all of them at
-    a chunk of points by one matrix product of exponents and logs, and
-    add_runs sums each form's run of terms.  A form with no terms stays 0.
-    A chunk holds at most CHUNK_ENTRIES term values, whatever N is.
+    tuples that np.asarray turns into one.  Each form is padded with
+    zero-coefficient terms up to the longest form's term count, its width,
+    so the terms of all forms are the rows of one exponent matrix, width
+    rows per form.  GF.array_ops.terms evaluates all of them at a chunk of
+    points by one matrix product of exponents and logs, and the field's own
+    add sums each form's width values.  A form with no terms stays 0.  A
+    chunk holds at most CHUNK_ENTRIES term values, whatever N is.
     """
     ops = forms[0].field.array_ops()
     x = np.asarray(points, ops.dtype)
-    out = np.zeros((len(forms), len(x)), ops.dtype)
     for f in forms:
         if x.shape[1] != f.ambient + 1:
             raise InputError(f"point has {x.shape[1]} coordinates, form expects {f.ambient + 1}")
-    rows = [i for i, f in enumerate(forms) if f.terms]
-    if not rows:
+    width = max(len(f.terms) for f in forms)
+    out = np.zeros((len(forms), len(x)), ops.dtype)
+    if not width:
         return out
-    live = [forms[i] for i in rows]
-    starts = np.cumsum([0] + [len(f.terms) for f in live[:-1]])
-    expos = np.array([e for f in live for e in f.terms])
-    coeffs = np.array([c for f in live for c in f.terms.values()], ops.dtype)
-    step = max(1, CHUNK_ENTRIES // len(expos))
+    blank = ((0,) * x.shape[1], 0)  # coefficient 0: the value 0
+    padded = [t for f in forms for t in [*f.terms.items()] + [blank] * (width - len(f.terms))]
+    expos = np.array([e for e, _ in padded])
+    coeffs = np.array([c for _, c in padded], ops.dtype)
+    step = max(1, CHUNK_ENTRIES // len(padded))
     for lo in range(0, len(x), step):
-        values = ops.terms(x[lo : lo + step], expos, coeffs)
-        out[rows, lo : lo + step] = ops.add_runs(values, starts)
+        values = ops.terms(x[lo : lo + step], expos, coeffs).reshape(len(forms), width, -1)
+        out[:, lo : lo + step] = reduce(ops.add, values.swapaxes(0, 1))
     return out

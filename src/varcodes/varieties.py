@@ -19,11 +19,10 @@ table (`families.check_descriptor`), before any construction here runs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cache, reduce
 from itertools import combinations, compress
-from math import comb, prod
+from math import comb
 from operator import or_
 from typing import Any
 
@@ -188,8 +187,12 @@ def classify_quadric(f: Form) -> tuple[int, int]:
     return rho, matches[0]
 
 
-def _zero_locus(forms: list[Form]) -> PointSet:
-    """All canonical common zeros of forms in P^m, in enumeration order."""
+def complete_intersection_points(forms: list[Form]) -> PointSet:
+    """All canonical common zeros of forms in P^m, in enumeration order.
+
+    Whether they are a reduced complete intersection, as Cayley-Bacharach
+    needs, is decided by `families._reduced_intersection`.
+    """
     fld, m = forms[0].field, forms[0].ambient
     pts = enumerate_projective_points(m, fld)
     pts = pts[~evaluate_forms(forms, pts).any(axis=0)]
@@ -198,7 +201,7 @@ def _zero_locus(forms: list[Form]) -> PointSet:
 
 def hypersurface_points(f: Form) -> PointSet:
     """All canonical points of V(f) in enumeration order."""
-    return _zero_locus([f])
+    return complete_intersection_points([f])
 
 
 def hermitian_form(m: int, r: int, fld: GF) -> Form:
@@ -414,19 +417,6 @@ def toric_basis(lattice_points: list[tuple[int, ...]], fld: GF) -> tuple[list[Fo
     degree = max(sum(u) for u in reduced)
     basis = [Form.monomial(fld, (degree - sum(u),) + u) for u in reduced]
     return basis, [f"t^{tuple(u)}" for u in lattice_points]
-
-
-def complete_intersection_points(forms: list[Form]) -> PointSet:
-    """Common zero locus of m hypersurfaces in P^m, with a degree-product check."""
-    points = _zero_locus(forms)
-    expected = prod(f.degree for f in forms)
-    if len(points) != expected:
-        warnings.warn(
-            f"zero locus has {len(points)} points, degree product is {expected}: "
-            "not a reduced complete intersection, Cayley-Bacharach bounds do not apply",
-            stacklevel=2,
-        )
-    return points
 
 
 def product_p1p1_points(fld: GF) -> PointSet:

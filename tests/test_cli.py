@@ -408,7 +408,7 @@ GOLDEN = [
 def test_golden_output(tmp_path, capsys, desc, q, h, points_sha, artifact_sha):
     artifact = tmp_path / "code.json"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the empty intersection warns on its degree product
+        warnings.simplefilter("error")  # the empty intersection is refused without a warning
         rc, out, _ = run(capsys, "points", json.dumps(desc), "--q", str(q))
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == points_sha

@@ -218,10 +218,9 @@ def test_array_mul_neg_pow_match_polynomial_arithmetic(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 27, 243, 256, 512, 729])
-def test_array_terms_and_add_runs_match_scalar_arithmetic(q):
-    # terms against the scalar pow and mul, add_runs against the scalar add.
-    # The largest exponent sets the product's type: float32 for 3 and 300,
-    # float64 for 2^24.
+def test_array_terms_match_scalar_arithmetic(q):
+    # terms against the scalar pow and mul.  The largest exponent sets the
+    # product's type: float32 for 3 and 300, float64 for 2^24.
     # The last term, (big, 0, 1) with coefficient r = g^(q-2), reaches the
     # largest sum of logs at the point (r : r : r).
     F = GF.from_order(q)
@@ -244,13 +243,6 @@ def test_array_terms_and_add_runs_match_scalar_arithmetic(q):
             for e, c in zip(expos.tolist(), coeffs.tolist())
         ]
         assert got.tolist() == want, big
-    for starts in ([0], [0, 1, 2, 3, 4, 5, 6], [0, 2, 3, 6], [1, 5]):
-        sums = ops.add_runs(got, np.array(starts))
-        assert sums.dtype == ops.dtype
-        ends = starts[1:] + [len(got)]
-        assert sums.tolist() == [
-            [reduce(F.add, col, 0) for col in zip(*want[a:b])] for a, b in zip(starts, ends)
-        ]
 
 
 def test_conjugate_gf4():

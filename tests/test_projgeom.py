@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,11 +155,31 @@ def test_evaluate_forms_matches_naive_products(data):
     assert [evaluate_forms(forms[:1], [p])[0, 0] for p in points] == got[0].tolist()
 
 
+@pytest.mark.parametrize("q", [2, 9, 27, 729])
+def test_evaluate_forms_pads_short_forms_with_zeros(q):
+    # The zero form and the one-term form are padded up to the ten terms of
+    # the form on every cubic monomial; the padding must add nothing.  The
+    # fields add by XOR (2), by table (9, 27) and by the digit rule (729).
+    F = GF.from_order(q)
+    rng = random.Random(q)
+    monos = enumerate_monomials(2, 3)
+    forms = [
+        Form(F, 2, 3),
+        Form.monomial(F, monos[4], rng.randrange(1, q)),
+        Form(F, 2, 3, {e: rng.randrange(1, q) for e in monos}),
+    ]
+    points = [(0, 0, 0), (1, 1, 1)] + [tuple(rng.randrange(q) for _ in range(3)) for _ in range(30)]
+    got = evaluate_forms(forms, points)
+    assert got.dtype == F.array_ops().dtype
+    assert got.tolist() == [[_naive_value(F, f, p) for p in points] for f in forms]
+    assert evaluate_forms(forms[:1] * 3, points).tolist() == [[0] * len(points)] * 3
+
+
 @pytest.mark.parametrize("q", [4, 9, 25])
 @pytest.mark.parametrize("cap", [1, 3, 5])
 def test_evaluate_forms_in_small_chunks(monkeypatch, q, cap):
     # With a cap of a few term values, a chunk holds one point or a few, so
-    # a form's run of terms is split over chunks and chunks end mid-run.
+    # the terms of one form are split over chunks.
     F = GF.from_order(q)
     rng = random.Random(q * cap)
     monos = enumerate_monomials(2, 3)
@@ -231,6 +252,34 @@ def test_form_partial_derivative():
     # char divides the exponent: d/dx0 of x0^3 vanishes
     g = Form(F, 2, 3, {(3, 0, 0): 1})
     assert g.partial(0).is_zero()
+
+
+def _naive_partial(f, i):
+    # c * e as e repeated additions of c, merged into a dict of terms.
+    F = f.field
+    terms = {}
+    for expo, c in f.terms.items():
+        if expo[i]:
+            key = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
+            terms[key] = F.add(terms.get(key, 0), reduce(F.add, [c] * expo[i]))
+    return {e: c for e, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_form_partial_matches_naive_derivative(q):
+    # Degrees up to 7 give exponents divisible by p (2, 4, 6 or 3, 6), whose
+    # terms vanish.
+    F = GF.from_order(q)
+    rng = random.Random(q)
+    for _ in range(40):
+        degree = rng.randrange(0, 8)
+        monos = enumerate_monomials(2, degree)
+        terms = {e: rng.randrange(1, q) for e in rng.sample(monos, rng.randrange(len(monos) + 1))}
+        f = Form(F, 2, degree, terms)
+        for i in range(3):
+            df = f.partial(i)
+            assert (df.ambient, df.degree) == (2, max(degree - 1, 0))
+            assert df.terms == _naive_partial(f, i)
 
 
 def test_form_serialization_round_trip():

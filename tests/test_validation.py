@@ -186,6 +186,10 @@ DEL_PEZZO_ROWS = (
         # classification's uniqueness invariant.
         (["predict", '{"family":"quadric","m":3,"w":2,"form":%s}' % HYPERBOLIC_P3, "--q", "3"],
          "internal invariant failure: rank 4, 16 points matches characters [0, 2]"),
+        # Every form is checked, not only the first: a line of P^2 with a
+        # form of P^1 is refused at the boundary, before any evaluation.
+        (["build", '{"family":"complete_intersection","forms":[%s,%s]}' % (LINE, NO_ROOTS_P1),
+          "--q", "3"], "input error: a complete intersection in P^m needs exactly m forms"),
     ],
 )
 def test_refusals_keep_their_exit_code_and_message(tmp_path, monkeypatch, capsys, argv, stderr):
@@ -198,7 +202,7 @@ def test_refusals_keep_their_exit_code_and_message(tmp_path, monkeypatch, capsys
     if stderr.startswith("internal"):
         monkeypatch.setattr(bounds, "quadric_count", lambda m, w, q, rho=None: 16)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the empty complete intersection also warns
+        warnings.simplefilter("error")  # a warning would print before the refusal's one line
         rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (4 if stderr.startswith("internal") else 2, "", stderr + "\n")
 

@@ -1,6 +1,7 @@
 """Point-set constructions: counts, invariants, canonical-form choices."""
 
 import json
+import warnings
 from itertools import combinations, combinations_with_replacement, compress, product
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from varcodes import bounds, varieties
 from varcodes.errors import BudgetExceeded, InputError, OutOfTheoremRange
-from varcodes.families import build_point_set, check_descriptor
+from varcodes.families import applicable_bounds, build_point_set, check_descriptor
 from varcodes.gf import GF
 from varcodes.linalg import Matrix, maximal_minors, pivot_patterns, rank
 from varcodes.projgeom import (
@@ -528,14 +529,21 @@ def test_complete_intersection_two_conics():
     assert len(pts) == 4
 
 
-def test_complete_intersection_degenerate_warns():
-    with pytest.warns(UserWarning):
-        complete_intersection_points(
-            [
-                Form.from_coeff_vector(F5, enumerate_monomials(2, 1), (0, 1, 0)),
-                Form(F5, 2, 2, {(1, 1, 0): 1}),
-            ]
-        )
+def test_complete_intersection_degenerate_is_quiet_and_gets_no_cayley_bacharach():
+    # x1 = x0*x1 = 0 is the line x1 = 0, 6 points over GF(5) against the
+    # degree product 2: it is built without a warning, and the family table
+    # offers no Cayley-Bacharach bound for it.
+    forms = [
+        Form.from_coeff_vector(F5, enumerate_monomials(2, 1), (0, 1, 0)),
+        Form(F5, 2, 2, {(1, 1, 0): 1}),
+    ]
+    desc = VarietyDescriptor("complete_intersection", {"forms": [f.to_dict() for f in forms]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = complete_intersection_points(forms)
+        reports = applicable_bounds(desc, 1, 5, len(pts))
+    assert len(pts) == 6
+    assert "cayley_bacharach_bound" not in [r.name for r in reports]
 
 
 @pytest.mark.parametrize("q,expected", [(2, 9), (3, 16)])
